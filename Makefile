@@ -8,7 +8,7 @@ GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: build test race vet fmt cover bench bench-smoke bench-service bench-service-smoke bench-check \
-	bench-runtime-check bench-cluster-smoke fuzz-smoke fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader \
+	bench-runtime-check bench-cluster-smoke perfbench perfbench-trace fuzz-smoke fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader \
 	fuzz-dist-compiled fuzz-wal
 
 build:
@@ -66,6 +66,16 @@ bench-check:
 # BENCH_runtime.json. This guards the compiled hot-path speedup.
 bench-runtime-check:
 	scripts/bench_runtime_check.sh
+
+# colord's end-to-end benchmark (BENCHMARK.json, perfbench/): every workload
+# at seed 1 over 20-second windows, the gated end-to-end metrics only.
+# perfbench-trace adds the per-layer replay pass (dist.run_ms.*,
+# dist.allocs.*, service.*, ...). Builds into .bench_build/.
+perfbench:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 0
+
+perfbench-trace:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 1
 
 # Fuzz targets, FUZZTIME each (10s default; the nightly workflow passes 5m).
 fuzz-builder:

@@ -9,11 +9,13 @@ package repro_test
 import (
 	"testing"
 
+	"repro/internal/algreg"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/defective"
 	"repro/internal/dist"
 	"repro/internal/edgecolor"
+	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/panconesi"
 	"repro/internal/reduce"
@@ -363,4 +365,93 @@ func BenchmarkNeighborhoodIndependence(b *testing.B) {
 			b.Fatalf("I(L(G)) = %d > 2", ni)
 		}
 	}
+}
+
+// missShapes are colord's cache-miss workload shapes (the benchmark's miss
+// templates): the service's compute path, one row per shape.
+var missShapes = []struct {
+	kind, alg, quality string
+	spec               exp.GraphSpec
+}{
+	{"edge", "be", "", exp.GraphSpec{Family: "gnm", N: 160, M: 640, Seed: 1}},
+	{"edge", "be", "", exp.GraphSpec{Family: "linegraph", N: 32, M: 120, Seed: 2}},
+	{"edge", "pr", "", exp.GraphSpec{Family: "regular", N: 128, Deg: 8, Seed: 3}},
+	{"edge", "greedy", "", exp.GraphSpec{Family: "gnm", N: 128, M: 384, Seed: 4}},
+	{"edge", "", algreg.QualityFewColors, exp.GraphSpec{Family: "gnm", N: 64, M: 192, Seed: 1}},
+	{"vertex", "be", "", exp.GraphSpec{Family: "powercycle", N: 120, Deg: 4}},
+	{"vertex", "be", "", exp.GraphSpec{Family: "linegraph", N: 24, M: 70, Seed: 5}},
+	{"vertex", "greedy", "", exp.GraphSpec{Family: "geometric", N: 160, Seed: 6}},
+}
+
+// BenchmarkMissShapes runs each miss shape the way a colord worker does:
+// resolved through algreg with the service's parameter defaults, on a warm
+// dist.Pool under the Compiled engine. Rows are named kind-alg/family;
+// rounds and msgBytes are exact, so benchcmp catches any semantic drift.
+func BenchmarkMissShapes(b *testing.B) {
+	for _, sh := range missShapes {
+		a, err := algreg.Resolve(sh.kind, sh.alg, sh.quality)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(sh.kind+"-"+a.Name+"/"+sh.spec.Family, func(b *testing.B) {
+			g, err := sh.spec.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The service's shared defaults, then the algorithm's own.
+			p := algreg.Params{B: 2, C: 2, Mode: "wide", Seed: 1}
+			if sh.kind == "edge" {
+				p.C = 0
+			}
+			if err := a.Canon(&p); err != nil {
+				b.Fatal(err)
+			}
+			var stats dist.Stats
+			if sh.kind == "edge" {
+				algo, _, err := a.BuildEdge(g, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				stats = runPooled(b, g, algo, p.Seed, func(out [][]int) error {
+					colors, err := graph.MergePortColors(g, out)
+					if err != nil {
+						return err
+					}
+					return graph.CheckEdgeColoring(g, colors)
+				})
+			} else {
+				algo, _, err := a.BuildVertex(g, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				stats = runPooled(b, g, algo, p.Seed, func(out []int) error {
+					return graph.CheckVertexColoring(g, out)
+				})
+			}
+			b.ReportMetric(float64(stats.Rounds), "rounds")
+			b.ReportMetric(float64(stats.Bytes), "msgBytes")
+		})
+	}
+}
+
+// runPooled is BenchmarkMissShapes' timed loop: b.N compiled runs on one warm
+// pool, the first checked for legality; it returns that run's Stats.
+func runPooled[T any](b *testing.B, g *graph.Graph, algo dist.Algo[T], seed int64, check func([]T) error) dist.Stats {
+	pool := dist.NewPool[T](g, 1)
+	defer pool.Close()
+	var stats dist.Stats
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := pool.RunAlgo(algo, dist.WithSeed(seed), dist.WithEngine(dist.Compiled))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			if err := check(res.Outputs); err != nil {
+				b.Fatal(err)
+			}
+			stats = res.Stats
+		}
+	}
+	return stats
 }

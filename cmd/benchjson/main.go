@@ -20,8 +20,10 @@ import (
 
 // Result is one benchmark line.
 type Result struct {
-	// Name is the full benchmark name including sub-benchmarks and the
-	// -cpu suffix, e.g. "BenchmarkEngines/steady/sharded".
+	// Name is the full benchmark name including sub-benchmarks, e.g.
+	// "BenchmarkEngines/steady/sharded". The harness's GOMAXPROCS suffix
+	// ("-2") is dropped so rows compare across machines with different core
+	// counts; benchmark names must therefore not end in -digits themselves.
 	Name string `json:"name"`
 	// Pkg is the package the benchmark belongs to (the preceding "pkg:"
 	// header line), when present.
@@ -95,7 +97,7 @@ func parseBenchLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	res := Result{Name: fields[0], Runs: runs, Metrics: map[string]float64{}}
+	res := Result{Name: trimProcs(fields[0]), Runs: runs, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -104,4 +106,19 @@ func parseBenchLine(line string) (Result, bool) {
 		res.Metrics[fields[i+1]] = val
 	}
 	return res, true
+}
+
+// trimProcs drops the "-N" GOMAXPROCS suffix go test appends to a benchmark
+// name when N > 1.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, r := range name[i+1:] {
+		if r < '0' || r > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }

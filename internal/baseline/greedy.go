@@ -51,11 +51,11 @@ func GreedyVertexProcess(v dist.Process) int {
 			if in[p] == nil || v.NeighborID(p) > v.ID() {
 				continue
 			}
-			vals, err := wire.DecodeInts(in[p], 1)
+			val, err := wire.DecodeInt(in[p])
 			if err != nil {
 				panic("baseline: bad color message: " + err.Error())
 			}
-			used[vals[0]] = true
+			used[val] = true
 			waiting--
 		}
 	}
@@ -152,12 +152,12 @@ func greedyEdgeVertex(v dist.Process) []int {
 					remaining--
 				}
 			} else {
-				vals, err := wire.DecodeInts(in[p], 1)
+				val, err := wire.DecodeInt(in[p])
 				if err != nil {
 					panic("baseline: bad announcement: " + err.Error())
 				}
-				colors[p] = vals[0]
-				myUsed[vals[0]] = true
+				colors[p] = val
+				myUsed[val] = true
 				remaining--
 			}
 		}

@@ -47,11 +47,11 @@ func trialEdgeVertex(v dist.Process) []int {
 		in := v.Round(out)
 		for p := 0; p < deg; p++ {
 			if colors[p] == 0 && id > v.NeighborID(p) && in[p] != nil {
-				vals, err := wire.DecodeInts(in[p], 1)
+				val, err := wire.DecodeInt(in[p])
 				if err != nil {
 					panic("baseline: bad proposal: " + err.Error())
 				}
-				proposals[p] = vals[0]
+				proposals[p] = val
 			}
 		}
 		// Local verdicts: a proposal survives at this vertex iff it is
@@ -81,11 +81,11 @@ func trialEdgeVertex(v dist.Process) []int {
 			if colors[p] != 0 || proposals[p] == 0 || in2[p] == nil {
 				continue
 			}
-			vals, err := wire.DecodeInts(in2[p], 1)
+			val, err := wire.DecodeInt(in2[p])
 			if err != nil {
 				panic("baseline: bad verdict: " + err.Error())
 			}
-			if myOK[p] && vals[0] == 1 {
+			if myOK[p] && val == 1 {
 				colors[p] = proposals[p]
 				used[proposals[p]] = true
 				remaining--

@@ -93,14 +93,14 @@ func DefectiveColorStep(v dist.Process, same []bool, p int, phiSteps []linial.St
 			if !inSub(port) || in[port] == nil || nbrPsi[port] != 0 {
 				continue
 			}
-			vals, err := wire.DecodeInts(in[port], 1)
+			val, err := wire.DecodeInt(in[port])
 			if err != nil {
 				panic("core: bad ψ message: " + err.Error())
 			}
-			nbrPsi[port] = vals[0]
+			nbrPsi[port] = val
 			heard++
 			if nbrPhi[port] < phi {
-				counts[vals[0]]++
+				counts[val]++
 				waiting--
 			}
 		}

@@ -20,11 +20,11 @@ func exchangeInts(v dist.Process, mask []bool, own int) []int {
 	var nbrs []int
 	for port := 0; port < deg; port++ {
 		if (mask == nil || mask[port]) && in[port] != nil {
-			vals, err := wire.DecodeInts(in[port], 1)
+			val, err := wire.DecodeInt(in[port])
 			if err != nil {
 				panic("core: bad message: " + err.Error())
 			}
-			nbrs = append(nbrs, vals[0])
+			nbrs = append(nbrs, val)
 		}
 	}
 	return nbrs
@@ -45,11 +45,11 @@ func exchangeIntsByPort(v dist.Process, mask []bool, own int) []int {
 	res := make([]int, deg)
 	for port := 0; port < deg; port++ {
 		if (mask == nil || mask[port]) && in[port] != nil {
-			vals, err := wire.DecodeInts(in[port], 1)
+			val, err := wire.DecodeInt(in[port])
 			if err != nil {
 				panic("core: bad message: " + err.Error())
 			}
-			res[port] = vals[0]
+			res[port] = val
 		}
 	}
 	return res

@@ -163,11 +163,10 @@ func EdgeColoringStep(v dist.Process, pPrime int) []int {
 	in := v.Round(out)
 	colors := make([]int, deg)
 	for port := 0; port < deg; port++ {
-		vals, err := wire.DecodeInts(in[port], 1)
+		theirLabel, err := wire.DecodeInt(in[port])
 		if err != nil {
 			panic("defective: bad label message: " + err.Error())
 		}
-		theirLabel := vals[0]
 		a, b := myLabel[port], theirLabel
 		if v.NeighborID(port) < v.ID() {
 			a, b = b, a

@@ -102,7 +102,12 @@ type Process interface {
 	// Message buffers are handed over by reference: a sender must not
 	// mutate a buffer after passing it to Round (wire.Writer's contract),
 	// and a receiver must treat inbound buffers as read-only — a Broadcast
-	// delivers the same underlying bytes to every neighbor. The returned
+	// delivers the same underlying bytes to every neighbor. The out slice
+	// itself, by contrast, is the caller's again once Round returns: every
+	// engine has read it by then, so one outbox may be cleared and refilled
+	// for every round of a vertex (the per-vertex hot-path idiom;
+	// TestOutboxReuseAcrossEngines pins it). Only the slice is reusable,
+	// never the message buffers it held. The returned
 	// slice is a pooled buffer: it is read-only too (writing into its
 	// slots can resurface the written values as phantom messages in later
 	// rounds, since delivery clears only the slots it filled), and it is

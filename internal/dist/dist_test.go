@@ -175,6 +175,68 @@ func TestEchoForwardAcrossEngines(t *testing.T) {
 	}
 }
 
+// chattyReused is chatty with one outbox allocated up front and refilled
+// every round, as the Process.Round contract permits; message buffers stay
+// fresh per round.
+func chattyReused(v Process) []int {
+	rng := v.Rand()
+	deg := v.Deg()
+	budget := 1 + rng.Intn(4)
+	sum := rng.Intn(1000)
+	history := []int{sum}
+	out := make([][]byte, deg)
+	for r := 0; r < budget; r++ {
+		for p := 0; p < deg; p++ {
+			out[p] = nil
+			if (v.ID()+v.NeighborID(p)+r)%3 != 0 {
+				out[p] = wire.EncodeInts(sum, r, v.ID())
+			}
+		}
+		in := v.Round(out)
+		for p := 0; p < deg; p++ {
+			if in[p] == nil {
+				continue
+			}
+			vals, err := wire.DecodeInts(in[p], 3)
+			if err != nil {
+				panic(err)
+			}
+			sum += vals[0] + vals[1]*vals[2]
+		}
+		history = append(history, sum)
+	}
+	return history
+}
+
+// TestOutboxReuseAcrossEngines pins the outbox half of the Round contract:
+// a vertex that reuses one out slice for every round gets exactly the
+// Outputs and Stats of one that allocates a fresh outbox per round, on
+// every engine.
+func TestOutboxReuseAcrossEngines(t *testing.T) {
+	reused := Interpret(chattyReused)
+	for _, g := range []*graph.Graph{graph.GNM(120, 500, 4), graph.Complete(16), graph.Star(20)} {
+		for seed := int64(0); seed < 2; seed++ {
+			want := runChatty(t, g, WithSeed(seed), WithEngine(Goroutines))
+			for _, opts := range [][]Option{
+				{WithEngine(Goroutines)},
+				{WithEngine(Lockstep)},
+				{WithEngine(Sharded), WithShards(1)},
+				{WithEngine(Sharded), WithShards(3)},
+				{WithEngine(Compiled)},
+			} {
+				got, err := RunAlgo(g, reused, append(opts, WithSeed(seed))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want.Outputs, got.Outputs) || want.Stats != got.Stats {
+					t.Fatalf("%v seed %d engine %v: reused outbox diverged: %v vs %v",
+						g, seed, opts, got.Stats, want.Stats)
+				}
+			}
+		}
+	}
+}
+
 // TestShardedIsSequentialWithinShard: with a single shard the Sharded engine
 // is globally sequential in index order, so unsynchronized shared state is
 // safe (and -race agrees), exactly like Lockstep.

@@ -85,11 +85,11 @@ func DefectiveEdgeStep(v dist.Process, classOf []int, p, pPrime, lam int, mode M
 		if classOf[port] == 0 {
 			continue
 		}
-		vals, err := wire.DecodeInts(in[port], 1)
+		val, err := wire.DecodeInt(in[port])
 		if err != nil {
 			panic("edgecolor: bad label message: " + err.Error())
 		}
-		a, b := myLabel[port], vals[0]
+		a, b := myLabel[port], val
 		if v.NeighborID(port) < v.ID() {
 			a, b = b, a
 		}

@@ -102,11 +102,11 @@ func drawEdgeClasses(v dist.Process, classes int) []int {
 	in := v.Round(out)
 	for port := 0; port < deg; port++ {
 		if v.ID() > v.NeighborID(port) {
-			vals, err := wire.DecodeInts(in[port], 1)
+			val, err := wire.DecodeInt(in[port])
 			if err != nil {
 				panic("edgecolor: bad class message: " + err.Error())
 			}
-			initClass[port] = vals[0]
+			initClass[port] = val
 		}
 	}
 	return initClass

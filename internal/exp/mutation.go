@@ -73,7 +73,11 @@ func (s MutationStream) String() string {
 // mutation is valid at its position: inserts name non-edges of the evolving
 // graph, deletes name existing edges. A generator that cannot make progress
 // (complete graph and insert forced, say) flips the operation; if neither
-// direction is possible the stream ends early.
+// direction is possible the stream ends early. A stream with Ops > 0 that
+// yields no mutation at all is an error, never a silent empty workload:
+// with the seed of its base gnm, say, a stream replays exactly the pairs
+// the base drew, finds every candidate already an edge, and needs another
+// seed.
 func (s MutationStream) Generate() (*graph.Graph, []Mutation, error) {
 	if s.Ops < 0 || s.Ops > 1<<20 {
 		return nil, nil, fmt.Errorf("exp: stream ops=%d out of range [0, %d]", s.Ops, 1<<20)
@@ -140,6 +144,9 @@ func (s MutationStream) Generate() (*graph.Graph, []Mutation, error) {
 		}
 	default:
 		return nil, nil, fmt.Errorf("exp: unknown stream kind %q (want mix, window, or hotspot)", s.Kind)
+	}
+	if s.Ops > 0 && len(muts) == 0 {
+		return nil, nil, fmt.Errorf("exp: stream %v generated no mutations: its seed found no valid op on the base graph; use another seed", s)
 	}
 	return g, muts, nil
 }

@@ -118,3 +118,23 @@ func TestMutationStreamErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestMutationStreamEmptyIsError: a window stream seeded like its gnm base
+// replays the base's own pair draws, so every candidate insert is already an
+// edge. Generate must report that instead of returning an empty workload,
+// while the mix stream the churn benchmark uses on the same base (same
+// seed) still generates in full.
+func TestMutationStreamEmptyIsError(t *testing.T) {
+	base := GraphSpec{Family: "gnm", N: 512, M: 1536, Seed: 1}
+	s := MutationStream{Kind: "window", Base: base, Ops: 64, Seed: 1}
+	if _, muts, err := s.Generate(); err == nil {
+		t.Fatalf("%v: generated %d ops and no error, want an error", s, len(muts))
+	}
+	mix := MutationStream{Kind: "mix", Base: base, Ops: 64, Seed: 1}
+	if _, muts, err := mix.Generate(); err != nil || len(muts) != mix.Ops {
+		t.Fatalf("%v: %d ops, err %v; want %d ops", mix, len(muts), err, mix.Ops)
+	}
+	if _, muts, err := (MutationStream{Kind: "window", Base: base}).Generate(); err != nil || len(muts) != 0 {
+		t.Fatalf("Ops=0 stream: %d ops, err %v; want an empty stream", len(muts), err)
+	}
+}

@@ -91,18 +91,12 @@ func vertex(v dist.Process) []int {
 func vacateClass(v dist.Process, colors []int, k int) {
 	deg := len(colors)
 
-	// Round 1: broadcast incident colors; decode each neighbor's before the
-	// next round recycles the buffers.
+	// Round 1: broadcast incident colors. Only the two neighbor lists the
+	// request step reads are decoded, before the next round recycles the
+	// inbox.
 	var w wire.Writer
 	w.Ints(colors)
-	nbrColors := make([][]int, deg)
-	for p, msg := range v.Broadcast(w.Bytes()) {
-		r := wire.NewReader(msg)
-		nbrColors[p] = r.Ints()
-		if r.Err() != nil {
-			panic("fewcolors: bad color broadcast: " + r.Err().Error())
-		}
-	}
+	nbrIn := v.Broadcast(w.Bytes())
 
 	// Round 2: the owner endpoint of each class-k edge requests a vacate.
 	// Both endpoints scan colors ascending with the same shared data: a color
@@ -113,7 +107,7 @@ func vacateClass(v dist.Process, colors []int, k int) {
 	reqPort, reqTo := -1, 0
 	var out [][]byte
 	if kp := portOf(colors, k); kp >= 0 {
-		mine, theirs := colorSet(colors, k), colorSet(nbrColors[kp], k)
+		mine, theirs := colorSet(colors, k), colorSet(decodeColors(nbrIn[kp]), k)
 		for a := 1; a < k; a++ {
 			if !mine[a] && !theirs[a] {
 				break // descent will take a; no move needed
@@ -123,7 +117,7 @@ func vacateClass(v dist.Process, colors []int, k int) {
 			}
 			if mine[a] { // this endpoint holds a and must free it
 				q := portOf(colors, a)
-				if b := freeBelow(k, colorSet(colors, k), colorSet(nbrColors[q], k)); b > 0 {
+				if b := freeBelow(k, mine, colorSet(decodeColors(nbrIn[q]), k)); b > 0 {
 					var rw wire.Writer
 					rw.Int(a)
 					rw.Int(b)
@@ -193,6 +187,16 @@ func vacateClass(v dist.Process, colors []int, k int) {
 	}
 }
 
+// decodeColors decodes a neighbor's incident-color broadcast.
+func decodeColors(msg []byte) []int {
+	r := wire.NewReader(msg)
+	cs := r.Ints()
+	if r.Err() != nil {
+		panic("fewcolors: bad color broadcast: " + r.Err().Error())
+	}
+	return cs
+}
+
 // portOf returns the port colored c, or -1. Colors are distinct per vertex
 // in a proper coloring, so the first match is the only one.
 func portOf(colors []int, c int) int {
@@ -233,11 +237,14 @@ func freeBelow(k int, a, b []bool) int {
 // stay consistent without a confirmation round.
 func descendClass(v dist.Process, colors []int, k int) {
 	deg := len(colors)
-	out := make([][]byte, deg)
+	var out [][]byte // nil unless this vertex holds a class-k edge
 	for p := 0; p < deg; p++ {
 		if colors[p] == k {
 			var w wire.Writer
 			w.Ints(otherColors(colors, p))
+			if out == nil {
+				out = make([][]byte, deg)
+			}
 			out[p] = w.Bytes()
 		}
 	}

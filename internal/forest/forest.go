@@ -12,8 +12,9 @@
 package forest
 
 import (
+	"encoding/binary"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/wire"
@@ -26,25 +27,35 @@ const NoForest = 0
 // it belongs to. Forests carry global integer ids (agreed by both endpoints
 // of every edge); a vertex's parent in forest f is reached through its
 // unique out-port labeled f, and its children are the in-ports labeled f.
+// Per-forest data is indexed by a forest's position in Forests (its forest
+// index), so the hot paths never look a forest id up.
 type Membership struct {
-	Forests    []int // sorted global ids of forests present at this vertex
-	PortLabel  []int // per port: forest id, or NoForest
-	parentPort map[int]int
+	Forests   []int // sorted global ids of forests present at this vertex
+	PortLabel []int // per port: forest id, or NoForest
+	// PortForest holds, per port, the forest index of its forest, or -1
+	// on a port that belongs to no forest.
+	PortForest []int
+	// Parent holds, per forest index, the port leading to this vertex's
+	// parent in that forest, or -1 where the vertex is a root.
+	Parent []int
+}
+
+// ForestIndex returns the index of forest fid in Forests, or -1 if the
+// vertex has no edge in it.
+func (m *Membership) ForestIndex(fid int) int {
+	if i, ok := slices.BinarySearch(m.Forests, fid); ok {
+		return i
+	}
+	return -1
 }
 
 // ParentPortOf returns the port leading to this vertex's parent in forest
 // fid, or -1 if the vertex is a root of (or absent from) that forest.
 func (m *Membership) ParentPortOf(fid int) int {
-	if p, ok := m.parentPort[fid]; ok {
-		return p
+	if i := m.ForestIndex(fid); i >= 0 {
+		return m.Parent[i]
 	}
 	return -1
-}
-
-// InForest reports whether the vertex has any edge in forest fid.
-func (m *Membership) InForest(fid int) bool {
-	i := sort.SearchInts(m.Forests, fid)
-	return i < len(m.Forests) && m.Forests[i] == fid
 }
 
 // AssignLabels runs the one-round forest decomposition: every vertex labels
@@ -67,6 +78,20 @@ func AssignLabels(v dist.Process, active []bool, degBound int) Membership {
 	return AssignLabelsClasses(v, classOf, degBound)
 }
 
+// Present returns the distinct nonzero entries of a per-port table in
+// increasing order: the classes (of a classOf table) or the forests (of
+// PortLabel) present at a vertex.
+func Present(perPort []int) []int {
+	ids := make([]int, 0, len(perPort))
+	for _, id := range perPort {
+		if id != 0 {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
 // AssignLabelsClasses is the multi-class generalization used by the edge
 // variant of Procedure Legal-Color (§5): ports are partitioned into
 // edge-disjoint classes (classOf[port] >= 1, 0 = inactive), each class
@@ -77,26 +102,31 @@ func AssignLabels(v dist.Process, active []bool, degBound int) Membership {
 // agree on its class, so they agree on its forest id.
 func AssignLabelsClasses(v dist.Process, classOf []int, degBound int) Membership {
 	deg := v.Deg()
-	m := Membership{
-		PortLabel:  make([]int, deg),
-		parentPort: make(map[int]int, deg),
-	}
-	out := make([][]byte, deg)
-	nextInClass := make(map[int]int, 4)
+	m := Membership{PortLabel: make([]int, deg), PortForest: make([]int, deg)}
+	classes := Present(classOf)
+	outDeg := make([]int, len(classes)) // labels used so far, per class
+	var out [][]byte
+	var buf []byte // this round's label messages, sliced per port
 	for port := 0; port < deg; port++ {
 		c := classOf[port]
 		if c == 0 {
 			continue
 		}
 		if v.NeighborID(port) < v.ID() { // out-edge: neighbor is the parent
-			nextInClass[c]++
-			if nextInClass[c] > degBound {
+			i, _ := slices.BinarySearch(classes, c)
+			outDeg[i]++
+			if outDeg[i] > degBound {
 				panic("forest: class out-degree exceeds degBound")
 			}
-			fid := (c-1)*degBound + nextInClass[c]
+			fid := (c-1)*degBound + outDeg[i]
 			m.PortLabel[port] = fid
-			m.parentPort[fid] = port
-			out[port] = wire.EncodeInts(fid)
+			if out == nil {
+				out = make([][]byte, deg)
+				buf = make([]byte, 0, deg*binary.MaxVarintLen64)
+			}
+			n := len(buf)
+			buf = wire.AppendInt(buf, fid)
+			out[port] = buf[n:len(buf):len(buf)]
 		}
 	}
 	in := v.Round(out)
@@ -105,21 +135,29 @@ func AssignLabelsClasses(v dist.Process, classOf []int, degBound int) Membership
 			continue
 		}
 		if v.NeighborID(port) > v.ID() { // in-edge: the child told us its label
-			vals, err := wire.DecodeInts(in[port], 1)
+			fid, err := wire.DecodeInt(in[port])
 			if err != nil {
 				panic("forest: bad label message: " + err.Error())
 			}
-			m.PortLabel[port] = vals[0]
+			m.PortLabel[port] = fid
 		}
 	}
-	seen := make(map[int]bool, deg)
-	for _, fid := range m.PortLabel {
-		if fid != NoForest && !seen[fid] {
-			seen[fid] = true
-			m.Forests = append(m.Forests, fid)
+	m.Forests = Present(m.PortLabel)
+	m.Parent = make([]int, len(m.Forests))
+	for i := range m.Parent {
+		m.Parent[i] = -1
+	}
+	for port, fid := range m.PortLabel {
+		m.PortForest[port] = -1
+		if fid == NoForest {
+			continue
+		}
+		i, _ := slices.BinarySearch(m.Forests, fid)
+		m.PortForest[port] = i
+		if v.NeighborID(port) < v.ID() {
+			m.Parent[i] = port
 		}
 	}
-	sort.Ints(m.Forests)
 	return m
 }
 
@@ -158,62 +196,65 @@ const ShiftDownIterations = 3
 func TotalRounds(n int) int { return CVRounds(n) + 2*ShiftDownIterations }
 
 // ThreeColor 3-colors the vertices of every forest simultaneously: the
-// returned map holds, per forest id present at this vertex, its color in
-// {1,2,3}. Costs exactly TotalRounds(v.N()) rounds for every vertex
-// (lockstep), independent of the forests' shapes and count.
-func ThreeColor(v dist.Process, m Membership) map[int]int {
-	colors := make(map[int]int, len(m.Forests)) // 0-based during reduction
-	for _, fid := range m.Forests {
-		colors[fid] = v.ID() - 1
+// returned slice holds, per forest index of m (see Membership), the
+// vertex's color in that forest, in {1,2,3}. Costs exactly
+// TotalRounds(v.N()) rounds for every vertex (lockstep), independent of the
+// forests' shapes and count.
+func ThreeColor(v dist.Process, m Membership) []int {
+	colors := make([]int, len(m.Forests)) // 0-based during reduction
+	for i := range colors {
+		colors[i] = v.ID() - 1
 	}
+	x := &exchange{out: make([][]byte, v.Deg()), res: make([]int, v.Deg())}
 	// Phase 1: bit reduction. Every vertex sends, on every forest port, its
 	// current color in that forest; children combine with the parent color.
 	for r := 0; r < CVRounds(v.N()); r++ {
-		all := exchangeAllColors(v, m, colors)
-		for _, fid := range m.Forests {
-			if p := m.ParentPortOf(fid); p >= 0 {
-				colors[fid] = cvStep(colors[fid], all[p])
+		all := x.run(v, m, colors)
+		for i, p := range m.Parent {
+			if p >= 0 {
+				colors[i] = cvStep(colors[i], all[p])
 			} else {
-				colors[fid] = colors[fid] & 1 // root: (index 0, own bit 0)
+				colors[i] &= 1 // root: (index 0, own bit 0)
 			}
 		}
 	}
 	// Normalize to 1..6.
-	for _, fid := range m.Forests {
-		colors[fid]++
+	for i := range colors {
+		colors[i]++
 	}
 	// Phase 2: three (shift-down, recolor) iterations remove colors 6, 5, 4.
-	for x := 6; x >= 4; x-- {
+	usedBy := make([]uint8, len(colors)) // recolor scratch: bit c = color c taken
+	for c := 6; c >= 4; c-- {
 		// Shift-down: every non-root adopts its parent's color; roots pick a
 		// color in {1,2} different from their own, keeping siblings
 		// monochromatic and the coloring proper.
-		all := exchangeAllColors(v, m, colors)
-		for _, fid := range m.Forests {
-			if p := m.ParentPortOf(fid); p >= 0 {
-				colors[fid] = all[p]
-			} else if colors[fid] == 1 {
-				colors[fid] = 2
+		all := x.run(v, m, colors)
+		for i, p := range m.Parent {
+			if p >= 0 {
+				colors[i] = all[p]
+			} else if colors[i] == 1 {
+				colors[i] = 2
 			} else {
-				colors[fid] = 1
+				colors[i] = 1
 			}
 		}
-		// Recolor class x: its members form an independent set in each
+		// Recolor class c: its members form an independent set in each
 		// forest; each picks the smallest color in {1,2,3} unused by its
 		// parent and (shared) child color.
-		all = exchangeAllColors(v, m, colors)
-		for _, fid := range m.Forests {
-			if colors[fid] != x {
+		all = x.run(v, m, colors)
+		clear(usedBy)
+		for port, i := range m.PortForest {
+			if i >= 0 && colors[i] == c && all[port] >= 1 && all[port] <= 3 {
+				usedBy[i] |= 1 << all[port]
+			}
+		}
+		for i := range colors {
+			if colors[i] != c {
 				continue
 			}
-			used := [4]bool{}
-			for port, lab := range m.PortLabel {
-				if lab == fid && all[port] >= 1 && all[port] <= 3 {
-					used[all[port]] = true
-				}
-			}
-			for c := 1; c <= 3; c++ {
-				if !used[c] {
-					colors[fid] = c
+			for k := 1; k <= 3; k++ {
+				if usedBy[i]&(1<<k) == 0 {
+					colors[i] = k
 					break
 				}
 			}
@@ -230,28 +271,36 @@ func cvStep(own, parent int) int {
 	return 2*i + (own>>i)&1
 }
 
-// exchangeAllColors sends, on every forest port, this vertex's color in that
-// port's forest, and returns the neighbor's color per port (-1 where absent).
-func exchangeAllColors(v dist.Process, m Membership, colors map[int]int) []int {
-	deg := v.Deg()
-	out := make([][]byte, deg)
-	for port, fid := range m.PortLabel {
-		if fid != NoForest {
-			out[port] = wire.EncodeInts(colors[fid])
+// exchange is ThreeColor's round scratch: one outbox and one result slice
+// serve every round.
+type exchange struct {
+	out [][]byte // per port: this round's color message, nil off the forests
+	res []int    // per port: the neighbor's color, -1 where absent
+}
+
+// run sends, on every forest port, this vertex's color in that port's
+// forest, and returns the neighbor's color per port (-1 where absent). The
+// result is valid until the next run.
+func (x *exchange) run(v dist.Process, m Membership, colors []int) []int {
+	buf := make([]byte, 0, len(x.out)*binary.MaxVarintLen64) // this round's messages
+	for port, i := range m.PortForest {
+		if i >= 0 {
+			n := len(buf)
+			buf = wire.AppendInt(buf, colors[i])
+			x.out[port] = buf[n:len(buf):len(buf)]
 		}
 	}
-	in := v.Round(out)
-	res := make([]int, deg)
-	for port := range res {
-		res[port] = -1
-		if m.PortLabel[port] == NoForest || in[port] == nil {
+	in := v.Round(x.out)
+	for port, i := range m.PortForest {
+		x.res[port] = -1
+		if i < 0 || in[port] == nil {
 			continue
 		}
-		vals, err := wire.DecodeInts(in[port], 1)
+		c, err := wire.DecodeInt(in[port])
 		if err != nil {
 			panic("forest: bad color message: " + err.Error())
 		}
-		res[port] = vals[0]
+		x.res[port] = c
 	}
-	return res
+	return x.res
 }

@@ -128,7 +128,7 @@ func TestThreeColorAllForests(t *testing.T) {
 			degBound := g.MaxDegree()
 			type out struct {
 				m Membership
-				c map[int]int
+				c []int
 			}
 			res, err := dist.Run(g, func(v dist.Process) out {
 				m := AssignLabels(v, nil, degBound)
@@ -148,9 +148,10 @@ func TestThreeColorAllForests(t *testing.T) {
 					if int(u) < v {
 						continue
 					}
-					lab := res.Outputs[v].m.PortLabel[port]
-					cv := res.Outputs[v].c[lab]
-					cu := res.Outputs[u].c[lab]
+					ov, ou := res.Outputs[v], res.Outputs[u]
+					lab := ov.m.PortLabel[port]
+					cv := ov.c[ov.m.ForestIndex(lab)]
+					cu := ou.c[ou.m.ForestIndex(lab)]
 					if cv < 1 || cv > 3 || cu < 1 || cu > 3 {
 						t.Fatalf("edge (%d,%d) forest %d: colors %d,%d outside 1..3", v, u, lab, cv, cu)
 					}
@@ -194,7 +195,7 @@ func TestShuffledIDsStillProper(t *testing.T) {
 	degBound := g.MaxDegree()
 	type out struct {
 		m Membership
-		c map[int]int
+		c []int
 	}
 	res, err := dist.Run(g, func(v dist.Process) out {
 		m := AssignLabels(v, nil, degBound)
@@ -208,8 +209,9 @@ func TestShuffledIDsStillProper(t *testing.T) {
 			if int(u) < v {
 				continue
 			}
-			lab := res.Outputs[v].m.PortLabel[port]
-			if res.Outputs[v].c[lab] == res.Outputs[u].c[lab] {
+			ov, ou := res.Outputs[v], res.Outputs[u]
+			lab := ov.m.PortLabel[port]
+			if ov.c[ov.m.ForestIndex(lab)] == ou.c[ou.m.ForestIndex(lab)] {
 				t.Fatalf("monochromatic forest edge (%d,%d)", v, u)
 			}
 		}

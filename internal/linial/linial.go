@@ -162,11 +162,11 @@ func BroadcastExchange(v dist.Process) Exchange {
 			if msg == nil {
 				continue
 			}
-			vals, err := wire.DecodeInts(msg, 1)
+			val, err := wire.DecodeInt(msg)
 			if err != nil {
 				panic("linial: bad color message: " + err.Error())
 			}
-			out = append(out, vals[0])
+			out = append(out, val)
 		}
 		return out
 	}

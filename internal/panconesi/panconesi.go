@@ -22,6 +22,9 @@
 package panconesi
 
 import (
+	"math/bits"
+	"slices"
+
 	"repro/internal/dist"
 	"repro/internal/forest"
 	"repro/internal/graph"
@@ -59,109 +62,204 @@ func EdgeColorStep(v dist.Process, active []bool, degBound int) []int {
 // a class (0 = uncolored/ignored), both endpoints agreeing; every class must
 // have degree ≤ degBound at every vertex.
 func EdgeColorMulti(v dist.Process, classOf []int, degBound int) []int {
-	deg := v.Deg()
-	colors := make([]int, deg)
 	m := forest.AssignLabelsClasses(v, classOf, degBound)
-	fcolors := forest.ThreeColor(v, m)
-
-	// Per-class used-color sets at this vertex; only classes present
-	// locally are materialized.
-	used := make(map[int]map[int]bool, 4)
-	usedOf := func(c int) map[int]bool {
-		if used[c] == nil {
-			used[c] = make(map[int]bool, degBound)
-		}
-		return used[c]
-	}
-	// present enumerates the classes with at least one local port.
-	present := make(map[int]bool, 4)
-	for _, c := range classOf {
-		if c != 0 {
-			present[c] = true
-		}
-	}
+	s := newLeaf(v, m, classOf, degBound)
+	s.fcolors = forest.ThreeColor(v, m)
+	// Stage (ℓ, j) involves only label-ℓ ports: the next run of byLabel.
+	rest := s.byLabel
 	for l := 1; l <= degBound; l++ {
+		n := 0
+		for n < len(rest) && s.label(m.PortLabel[rest[n]]) == l {
+			n++
+		}
 		for j := 1; j <= stages; j++ {
-			runStage(v, m, fcolors, classOf, present, l, j, degBound, colors, usedOf)
+			s.runStage(rest[:n], j)
+		}
+		rest = rest[n:]
+	}
+	return s.colors
+}
+
+// leaf is one vertex's state through the greedy stages. Everything is
+// slice-indexed: classes by their position in the sorted list of classes
+// present at the vertex, forests by their Membership forest index, and
+// each class's used colors by a bitmap over {1..2·degBound−1}.
+type leaf struct {
+	v        dist.Process
+	m        forest.Membership
+	fcolors  []int // per forest index: this vertex's forest color
+	degBound int
+	colors   []int // per port: the edge's color, 0 while uncolored
+	class    []int // per port: class index, -1 on unclassed ports
+	words    int   // bitmap words per class
+	used     []uint64
+	child    []uint64 // scratch bitmap: a child's reported used set
+	byLabel  []int    // forest ports by within-class label ℓ, then port
+	out      [][]byte // the one outbox every stage round reuses
+}
+
+func newLeaf(v dist.Process, m forest.Membership, classOf []int, degBound int) *leaf {
+	deg := v.Deg()
+	classes := forest.Present(classOf)
+	words := (2*degBound + 63) / 64
+	s := &leaf{
+		v: v, m: m, degBound: degBound,
+		colors:  make([]int, deg),
+		class:   make([]int, deg),
+		words:   words,
+		used:    make([]uint64, len(classes)*words),
+		child:   make([]uint64, words),
+		byLabel: make([]int, 0, deg),
+	}
+	for port, c := range classOf {
+		s.class[port] = -1
+		if c != 0 {
+			s.class[port], _ = slices.BinarySearch(classes, c)
+		}
+		if m.PortLabel[port] != forest.NoForest {
+			s.byLabel = append(s.byLabel, port)
 		}
 	}
-	return colors
+	// Stable: within a label, ports stay ascending — the order in which a
+	// parent colors its children, which the greedy choices depend on.
+	slices.SortStableFunc(s.byLabel, func(a, b int) int {
+		return s.label(m.PortLabel[a]) - s.label(m.PortLabel[b])
+	})
+	return s
 }
+
+// label returns the within-class label ℓ of forest fid.
+func (s *leaf) label(fid int) int { return (fid-1)%s.degBound + 1 }
+
+// isParentPort reports whether port leads to this vertex's parent in the
+// port's forest.
+func (s *leaf) isParentPort(port int) bool {
+	return s.m.Parent[s.m.PortForest[port]] == port
+}
+
+// usedOf returns the used-color bitmap of class index ci.
+func (s *leaf) usedOf(ci int) []uint64 { return s.used[ci*s.words : (ci+1)*s.words] }
 
 // runStage performs one (within-class label ℓ, forest-color j) stage across
 // all classes: children report their class-local used sets upward; parents
 // whose color in the (class, ℓ) forest is j greedily color child edges.
-func runStage(v dist.Process, m forest.Membership, fcolors map[int]int, classOf []int, present map[int]bool,
-	l, j, degBound int, colors []int, usedOf func(int) map[int]bool) {
-	deg := v.Deg()
+// ports are this vertex's label-ℓ ports, the only ones that carry traffic;
+// a vertex with nothing to send passes a nil outbox.
+func (s *leaf) runStage(ports []int, j int) {
 	// Round 1: report used sets on uncolored parent edges of label ℓ.
-	out := make([][]byte, deg)
-	for c := range present {
-		fid := (c-1)*degBound + l
-		if p := m.ParentPortOf(fid); p >= 0 && colors[p] == 0 {
-			var w wire.Writer
-			w.Ints(setToSlice(usedOf(c)))
-			out[p] = w.Bytes()
+	var buf []byte
+	for _, p := range ports {
+		if s.colors[p] == 0 && s.isParentPort(p) {
+			n := len(buf)
+			buf = appendSet(buf, s.usedOf(s.class[p]))
+			s.stage(p, buf[n:len(buf):len(buf)])
 		}
 	}
-	in := v.Round(out)
+	in := s.round(buf != nil, ports)
 	// Round 2: parents with color j in the (class, ℓ) forest assign colors.
-	out2 := make([][]byte, deg)
-	for c := range present {
-		fid := (c-1)*degBound + l
-		if !m.InForest(fid) || fcolors[fid] != j {
+	buf = nil
+	for _, p := range ports {
+		if in[p] == nil || s.isParentPort(p) || s.fcolors[s.m.PortForest[p]] != j {
 			continue
 		}
-		u := usedOf(c)
-		for port := 0; port < deg; port++ {
-			if m.PortLabel[port] != fid || in[port] == nil {
-				continue
-			}
-			r := wire.NewReader(in[port])
-			childUsed := r.Ints()
-			if r.Err() != nil {
-				panic("panconesi: bad used-set message: " + r.Err().Error())
-			}
-			cc := firstFree(u, childUsed)
-			colors[port] = cc
-			u[cc] = true
-			out2[port] = wire.EncodeInts(cc)
-		}
+		u := s.usedOf(s.class[p])
+		s.readSet(in[p])
+		cc := firstFree(u, s.child, 2*s.degBound-1)
+		clear(s.child)
+		s.colors[p] = cc
+		u[cc/64] |= 1 << (cc % 64)
+		n := len(buf)
+		buf = wire.AppendInt(buf, cc)
+		s.stage(p, buf[n:len(buf):len(buf)])
 	}
-	in2 := v.Round(out2)
+	in2 := s.round(buf != nil, ports)
 	// Record colors our parents picked for our parent edges.
-	for c := range present {
-		fid := (c-1)*degBound + l
-		if p := m.ParentPortOf(fid); p >= 0 && in2[p] != nil {
-			vals, err := wire.DecodeInts(in2[p], 1)
-			if err != nil {
-				panic("panconesi: bad color message: " + err.Error())
+	for _, p := range ports {
+		if in2[p] == nil || !s.isParentPort(p) {
+			continue
+		}
+		cc, err := wire.DecodeInt(in2[p])
+		if err != nil {
+			panic("panconesi: bad color message: " + err.Error())
+		}
+		s.colors[p] = cc
+		s.usedOf(s.class[p])[cc/64] |= 1 << (cc % 64)
+	}
+}
+
+// stage puts msg in the reused outbox on port p.
+func (s *leaf) stage(p int, msg []byte) {
+	if s.out == nil {
+		s.out = make([][]byte, s.v.Deg())
+	}
+	s.out[p] = msg
+}
+
+// round runs one communication round: the staged outbox if sent, else a
+// silent nil one. Only ports can hold staged messages; they are cleared
+// after the round so the outbox is empty again for the next.
+func (s *leaf) round(sent bool, ports []int) [][]byte {
+	if !sent {
+		return s.v.Round(nil)
+	}
+	in := s.v.Round(s.out)
+	for _, p := range ports {
+		s.out[p] = nil
+	}
+	return in
+}
+
+// readSet decodes a used-set message (Writer.Ints form) into s.child.
+// Colors outside the bitmap cannot be the first free color, so they are
+// dropped.
+func (s *leaf) readSet(msg []byte) {
+	r := wire.NewReader(msg)
+	n := r.Uint()
+	if n > uint64(r.Remaining()) { // each element takes >= 1 byte
+		panic("panconesi: bad used-set message: " + wire.ErrTruncated.Error())
+	}
+	for i := uint64(0); i < n; i++ {
+		if c := r.Int(); c > 0 && c < 64*len(s.child) {
+			s.child[c/64] |= 1 << (c % 64)
+		}
+	}
+	if r.Err() != nil {
+		panic("panconesi: bad used-set message: " + r.Err().Error())
+	}
+}
+
+// appendSet appends a used bitmap as a Writer.Ints message, ascending.
+func appendSet(buf []byte, set []uint64) []byte {
+	count := 0
+	for _, w := range set {
+		count += bits.OnesCount64(w)
+	}
+	buf = wire.AppendUint(buf, uint64(count))
+	for wi, w := range set {
+		for ; w != 0; w &= w - 1 {
+			buf = wire.AppendInt(buf, wi*64+bits.TrailingZeros64(w))
+		}
+	}
+	return buf
+}
+
+// firstFree returns the smallest color in 1..maxColor in neither bitmap.
+// At most 2·degBound−2 colors are ever excluded, so one always exists while
+// every class respects the degree bound.
+func firstFree(used, childUsed []uint64, maxColor int) int {
+	for wi := range used {
+		free := ^(used[wi] | childUsed[wi])
+		if wi == 0 {
+			free &^= 1 // there is no color 0
+		}
+		if free != 0 {
+			if c := wi*64 + bits.TrailingZeros64(free); c <= maxColor {
+				return c
 			}
-			colors[p] = vals[0]
-			usedOf(c)[vals[0]] = true
+			break
 		}
 	}
-}
-
-// firstFree returns the smallest positive color not in either set.
-func firstFree(used map[int]bool, childUsed []int) int {
-	childSet := make(map[int]bool, len(childUsed))
-	for _, c := range childUsed {
-		childSet[c] = true
-	}
-	for c := 1; ; c++ {
-		if !used[c] && !childSet[c] {
-			return c
-		}
-	}
-}
-
-func setToSlice(s map[int]bool) []int {
-	out := make([]int, 0, len(s))
-	for c := range s {
-		out = append(out, c)
-	}
-	return out
+	panic("panconesi: no free color in palette; class degree bound violated")
 }
 
 // EdgeColoring runs the full Panconesi–Rizzi algorithm on g and returns the

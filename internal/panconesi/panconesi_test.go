@@ -179,3 +179,27 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledRunAllocs bounds the allocations of one compiled
+// Panconesi–Rizzi run on regular(128,8) — the service's edge-pr miss shape.
+// The per-vertex leaf is slice-indexed with one reused outbox per vertex;
+// the ceiling sits about 1.5× above the measured count, so a map or a
+// per-round outbox creeping back into the hot path fails here.
+func TestCompiledRunAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation count in -short mode")
+	}
+	g := graph.RandomRegular(128, 8, 3)
+	delta := g.MaxDegree()
+	algo := dist.Interpret(func(v dist.Process) []int { return EdgeColorStep(v, nil, delta) })
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := dist.RunAlgo(g, algo, dist.WithEngine(dist.Compiled)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("compiled edge-pr run on regular(128,8): %.0f allocs", allocs)
+	const ceiling = 10000 // ~1.5× the 6700 measured
+	if allocs > ceiling {
+		t.Fatalf("%.0f allocs per run, ceiling %d", allocs, ceiling)
+	}
+}

@@ -40,19 +40,27 @@ func KWReduceColors(v dist.Process, myColor, k, target int, active []bool) int {
 	}
 	deg := v.Deg()
 	blocks := (k + target - 1) / target
+	// One outbox and one neighbor-color slice serve every round; the
+	// outbox is refilled only when this vertex's color (its one message)
+	// changes.
+	nbr := make([]int, deg)
+	out := make([][]byte, deg)
+	var msg []byte // the message out carries, encoding msgColor
+	msgColor := 0
 	for blocks > 1 {
 		// 0-based decomposition: color c-1 = block·target + pos.
 		myBlock := (myColor - 1) / target
 		myPos := (myColor - 1) % target
 		upper := myBlock%2 == 1
 		pairLow := (myBlock / 2) * 2 // block index of the pair's lower half
-		nbr := make([]int, deg)
+		clear(nbr)                   // a level starts from no neighbor colors
 		for j := 0; j < target; j++ {
-			out := make([][]byte, deg)
-			msg := wire.EncodeInts(myColor)
-			for p := 0; p < deg; p++ {
-				if active == nil || active[p] {
-					out[p] = msg
+			if msg == nil || myColor != msgColor {
+				msg, msgColor = wire.EncodeInts(myColor), myColor
+				for p := 0; p < deg; p++ {
+					if active == nil || active[p] {
+						out[p] = msg
+					}
 				}
 			}
 			in := v.Round(out)
@@ -60,11 +68,11 @@ func KWReduceColors(v dist.Process, myColor, k, target int, active []bool) int {
 				if in[p] == nil {
 					continue
 				}
-				vals, err := wire.DecodeInts(in[p], 1)
+				c, err := wire.DecodeInt(in[p])
 				if err != nil {
 					panic("reduce: bad color message: " + err.Error())
 				}
-				nbr[p] = vals[0]
+				nbr[p] = c
 			}
 			if upper && myPos == j {
 				myColor = kwFree(nbr, active, pairLow, target)

@@ -48,23 +48,47 @@ func (c *resultCache) snapshot() CacheStats { return c.lru.snapshot() }
 // and shared; the rendered body also echoes the request's own spec string,
 // and distinct specs can build fingerprint-identical graphs (Path(6) and
 // Grid(6,1), say), so bodies memoize per name. Rendering happens at most
-// once per (key, name): every later hit is a map lookup returning the same
-// byte slice, with no JSON work at all.
+// once per (key, name): every later hit returns the same byte slice, with
+// no JSON work at all.
+//
+// Entries are long-lived and a busy cache holds thousands, so they are kept
+// lean: rec and every body are stored at exact length, and the first
+// rendered body — in practice the only one — lives inline, the bodies map
+// existing only for aliased names.
 type cacheValue struct {
 	key string
 	rec []byte
 
 	mu     sync.RWMutex
+	name   string // graph name of the inline body
+	body   []byte // first rendered body, nil until rendered
 	bodies map[string][]byte
 }
 
-// maxBodiesPerValue caps the per-entry rendered-body memo. Aliased specs are
-// rare (they require fingerprint-identical graphs under different names);
-// past the cap, bodies render per request without being retained.
+// maxBodiesPerValue caps the per-entry rendered-body memo, the inline body
+// included. Aliased specs are rare (they require fingerprint-identical
+// graphs under different names); past the cap, bodies render per request
+// without being retained.
 const maxBodiesPerValue = 8
 
 func newCacheValue(key string, rec []byte) *cacheValue {
-	return &cacheValue{key: key, rec: rec}
+	return &cacheValue{key: key, rec: exact(rec)}
+}
+
+// exact copies b into an allocation of its own length, so a cached value
+// does not pin the spare capacity of the buffer it was built in.
+func exact(b []byte) []byte {
+	c := make([]byte, len(b))
+	copy(c, b)
+	return c
+}
+
+// lookup returns the memoized body for graphName; the caller holds mu.
+func (v *cacheValue) lookup(graphName string) []byte {
+	if v.body != nil && v.name == graphName {
+		return v.body
+	}
+	return v.bodies[graphName]
 }
 
 // bodyFor returns the rendered JSON response body of this record for a
@@ -73,7 +97,7 @@ func newCacheValue(key string, rec []byte) *cacheValue {
 // bodies are byte-identical to freshly encoded ones by construction.
 func (v *cacheValue) bodyFor(graphName string) ([]byte, error) {
 	v.mu.RLock()
-	b := v.bodies[graphName]
+	b := v.lookup(graphName)
 	v.mu.RUnlock()
 	if b != nil {
 		return b, nil
@@ -86,16 +110,21 @@ func (v *cacheValue) bodyFor(graphName string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	j = append(j, '\n')
+	b = make([]byte, len(j)+1)
+	copy(b, j)
+	b[len(j)] = '\n'
 	v.mu.Lock()
-	if cur := v.bodies[graphName]; cur != nil {
-		j = cur // a concurrent render won; share its bytes
-	} else if len(v.bodies) < maxBodiesPerValue {
+	defer v.mu.Unlock()
+	switch cur := v.lookup(graphName); {
+	case cur != nil:
+		b = cur // a concurrent render won; share its bytes
+	case v.body == nil:
+		v.name, v.body = graphName, b
+	case len(v.bodies)+1 < maxBodiesPerValue:
 		if v.bodies == nil {
 			v.bodies = make(map[string][]byte, 1)
 		}
-		v.bodies[graphName] = j
+		v.bodies[graphName] = b
 	}
-	v.mu.Unlock()
-	return j, nil
+	return b, nil
 }

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -169,5 +171,42 @@ func TestShardsFor(t *testing.T) {
 		if got := shardsFor(c.capacity); got != c.want {
 			t.Errorf("shardsFor(%d) = %d, want %d", c.capacity, got, c.want)
 		}
+	}
+}
+
+// TestCacheValueBodies pins the rendered-body memo: every name renders the
+// json.Encoder bytes, the first name lives inline and later aliases in the
+// map, repeats share one slice, and past maxBodiesPerValue names render
+// without being retained.
+func TestCacheValueBodies(t *testing.T) {
+	rec := &record{kind: "edge", alg: "be", n: 3, m: 2, delta: 2, palette: 3, colors: []int{1, 2}}
+	enc := rec.encode()
+	v := newCacheValue("k", enc)
+	if !bytes.Equal(v.rec, enc) || cap(v.rec) != len(v.rec) {
+		t.Fatalf("rec stored with len %d cap %d, want an exact copy of %d bytes", len(v.rec), cap(v.rec), len(enc))
+	}
+	names := make([]string, maxBodiesPerValue+2)
+	for i := range names {
+		names[i] = fmt.Sprintf("alias-%d", i)
+	}
+	for i, name := range names {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(rec.response("k", name)); err != nil {
+			t.Fatal(err)
+		}
+		b, err := v.bodyFor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, want.Bytes()) || cap(b) != len(b) {
+			t.Fatalf("%s: body %q (cap %d), want %q at exact length", name, b, cap(b), want.Bytes())
+		}
+		again, _ := v.bodyFor(name)
+		if retained := &again[0] == &b[0]; retained != (i < maxBodiesPerValue) {
+			t.Fatalf("%s (#%d): retained = %v", name, i, retained)
+		}
+	}
+	if v.name != names[0] || len(v.bodies) != maxBodiesPerValue-1 {
+		t.Fatalf("inline name %q and %d mapped bodies, want %q and %d", v.name, len(v.bodies), names[0], maxBodiesPerValue-1)
 	}
 }

@@ -64,6 +64,16 @@ func FuzzReader(f *testing.F) {
 				t.Fatal("reader over-read the buffer")
 			}
 		}
+		// The single-value decode must agree with its slice form, errors
+		// included.
+		x, err := DecodeInt(msg)
+		xs, errs := DecodeInts(msg, 1)
+		if (err == nil) != (errs == nil) || err != nil && err.Error() != errs.Error() {
+			t.Fatalf("DecodeInt error %v, DecodeInts error %v", err, errs)
+		}
+		if err == nil && x != xs[0] {
+			t.Fatalf("DecodeInt = %d, DecodeInts = %d", x, xs[0])
+		}
 		// A clean full decode must account for every byte it consumed.
 		r := NewReader(msg)
 		for r.Err() == nil && r.Remaining() > 0 {

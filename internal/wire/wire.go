@@ -181,6 +181,15 @@ func IntsLen(xs []int) int {
 	return n
 }
 
+// AppendInt appends the Writer.Int encoding of x to b. Per-vertex hot paths
+// use it to pack one round's small messages into a single buffer, slicing
+// each message out of it: never append into a region already passed to
+// Round, and start a fresh buffer every round.
+func AppendInt(b []byte, x int) []byte { return binary.AppendVarint(b, int64(x)) }
+
+// AppendUint appends the Writer.Uint encoding of x to b; see AppendInt.
+func AppendUint(b []byte, x uint64) []byte { return binary.AppendUvarint(b, x) }
+
 // EncodeInts is a convenience for single-shot encoding of signed values.
 func EncodeInts(xs ...int) []byte {
 	var w Writer
@@ -188,6 +197,18 @@ func EncodeInts(xs ...int) []byte {
 		w.Int(x)
 	}
 	return w.Bytes()
+}
+
+// DecodeInt decodes a single signed value from msg — the one-value message
+// every per-vertex color exchange sends — without allocating. It agrees
+// with DecodeInts(msg, 1) on every input, errors included: trailing bytes
+// are ignored and a short or overlong varint is ErrTruncated.
+func DecodeInt(msg []byte) (int, error) {
+	x, n := binary.Varint(msg)
+	if n <= 0 {
+		return 0, ErrTruncated
+	}
+	return int(x), nil
 }
 
 // DecodeInts decodes exactly n signed values from msg.

@@ -83,6 +83,22 @@ func TestEncodeDecodeInts(t *testing.T) {
 	}
 }
 
+func TestDecodeInt(t *testing.T) {
+	for _, x := range []int{0, 7, -3, 1 << 40, -1 << 62} {
+		got, err := DecodeInt(EncodeInts(x, 99)) // trailing value ignored
+		if err != nil || got != x {
+			t.Fatalf("DecodeInt(%d) = %d, %v", x, got, err)
+		}
+	}
+	if _, err := DecodeInt(nil); err != ErrTruncated {
+		t.Fatalf("empty message: err %v, want ErrTruncated", err)
+	}
+	msg := EncodeInts(-5)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeInt(msg) }); allocs != 0 {
+		t.Fatalf("DecodeInt allocates %v times", allocs)
+	}
+}
+
 func TestRawRoundTrip(t *testing.T) {
 	var w Writer
 	w.Int(7).Raw([]byte{0xde, 0xad}).Raw(nil).Int(9)

@@ -8,7 +8,10 @@
 # benchmarks emit one row per engine per workload
 # (BenchmarkEngines/{fresh,steady,hotpath}/{goroutines,lockstep,sharded,compiled}),
 # so BENCH_runtime.json shows the whole engine trajectory — including the
-# compiled hot-path speedup — side by side.
+# compiled hot-path speedup — side by side. BenchmarkMissShapes (root
+# package) adds one row per colord cache-miss shape: algreg-resolved
+# algorithms on a warm dist.Pool under the Compiled engine, with exact
+# rounds and msgBytes.
 #
 # Usage:
 #   scripts/bench.sh                 # full run, writes BENCH_runtime.json
