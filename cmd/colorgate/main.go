@@ -74,7 +74,7 @@ func run(args []string) error {
 			return fmt.Errorf("addr file: %w", err)
 		}
 	}
-	srv := &http.Server{Handler: gw.Handler()}
+	srv := newServer(gw.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	log.Printf("colorgate: routing %s across %s", bound, *peers)
@@ -90,4 +90,18 @@ func run(args []string) error {
 		defer cancel()
 		return srv.Shutdown(ctx)
 	}
+}
+
+// Listener timeouts. A client gets readHeaderTimeout to send its request
+// headers and a keep-alive connection closes after idleTimeout without a
+// request. There is deliberately no WriteTimeout: subscriptions stream
+// through the gateway for as long as their session lives.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is colorgate's one http.Server constructor.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

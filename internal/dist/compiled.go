@@ -220,6 +220,7 @@ type cvert[T any] struct {
 	bcastMsg []byte
 	echo     [][]byte // snapshot scratch for the echo/forward pattern
 	exiting  bool     // stopped: user defers calling Round unwind again
+	skip     int      // rounds still to count as arrived without resuming (Idle)
 	val      T
 	pan      any
 	panicked bool
@@ -282,6 +283,16 @@ func (p *cvert[T]) Round(out [][]byte) [][]byte {
 	return p.inbox
 }
 
+// idle is Idle's fast path: one silent yield, after which the interpreter
+// counts the vertex as arrived with a nil outbox for k−1 more rounds without
+// resuming its coroutine. Messages sent to it meanwhile are charged and
+// dropped exactly as during a Round(nil) loop, and an abort mid-span unwinds
+// it from this one park.
+func (p *cvert[T]) idle(k int) {
+	p.skip = k - 1
+	p.Round(nil)
+}
+
 func (p *cvert[T]) Broadcast(msg []byte) [][]byte {
 	if msg == nil {
 		return p.Round(nil)
@@ -333,6 +344,10 @@ func (pi procInterp[T]) RunCompiled(g *graph.Graph, env CompiledEnv, outputs []T
 	active := append([]*cvert[T](nil), cr.verts...)
 	for len(active) > 0 {
 		for _, p := range active {
+			if p.skip > 0 {
+				p.skip-- // parked in Idle: arrives again with a nil outbox
+				continue
+			}
 			cr.status[p.idx] = statusRunning
 			if _, yielded := p.next(); yielded {
 				cr.status[p.idx] = statusYielded

@@ -127,6 +127,30 @@ type Process interface {
 	Rand() *rand.Rand
 }
 
+// Idle spends k rounds at v that send nothing and drop whatever arrives:
+// exactly k calls of v.Round(nil) with the inboxes discarded, so Rounds,
+// Activations and Bytes (messages sent to v are still charged) are those of
+// that loop on every engine. k <= 0 is a no-op. The Compiled interpreter
+// parks the vertex once and counts it as arrived for the remaining k−1
+// rounds without resuming it; every other Process, including wrappers such
+// as lgsim's virtual vertices, takes the Round(nil) loop.
+func Idle(v Process, k int) {
+	if k <= 0 {
+		return
+	}
+	if iv, ok := v.(idler); ok {
+		iv.idle(k)
+		return
+	}
+	for ; k > 0; k-- {
+		v.Round(nil)
+	}
+}
+
+// idler is the fast path of Idle, implemented by the Compiled interpreter's
+// vertices.
+type idler interface{ idle(k int) }
+
 // Stats is the measured cost of a run.
 type Stats struct {
 	// Rounds is the number of synchronous rounds executed: rounds in which

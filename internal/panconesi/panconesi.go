@@ -66,17 +66,26 @@ func EdgeColorMulti(v dist.Process, classOf []int, degBound int) []int {
 	s := newLeaf(v, m, classOf, degBound)
 	s.fcolors = forest.ThreeColor(v, m)
 	// Stage (ℓ, j) involves only label-ℓ ports: the next run of byLabel.
+	// Each run of consecutive dead stages is spent in one dist.Idle.
 	rest := s.byLabel
+	idle := 0
 	for l := 1; l <= degBound; l++ {
 		n := 0
 		for n < len(rest) && s.label(m.PortLabel[rest[n]]) == l {
 			n++
 		}
 		for j := 1; j <= stages; j++ {
+			if s.dead(rest[:n], j) {
+				idle += 2
+				continue
+			}
+			dist.Idle(v, idle)
+			idle = 0
 			s.runStage(rest[:n], j)
 		}
 		rest = rest[n:]
 	}
+	dist.Idle(v, idle)
 	return s.colors
 }
 
@@ -140,6 +149,21 @@ func (s *leaf) isParentPort(port int) bool {
 // usedOf returns the used-color bitmap of class index ci.
 func (s *leaf) usedOf(ci int) []uint64 { return s.used[ci*s.words : (ci+1)*s.words] }
 
+// dead reports whether stage (ℓ, j) is silent at this vertex: none of its
+// label-ℓ ports is an uncolored parent edge (which would report its used
+// set, then read its color) or an uncolored child edge in a forest where
+// this vertex has color j (which would read a used set, then send a color).
+// runStage's guards are exactly these, so a dead stage sends nothing and
+// reads nothing, whatever arrives: its two rounds can be idled.
+func (s *leaf) dead(ports []int, j int) bool {
+	for _, p := range ports {
+		if s.colors[p] == 0 && (s.isParentPort(p) || s.fcolors[s.m.PortForest[p]] == j) {
+			return false
+		}
+	}
+	return true
+}
+
 // runStage performs one (within-class label ℓ, forest-color j) stage across
 // all classes: children report their class-local used sets upward; parents
 // whose color in the (class, ℓ) forest is j greedily color child edges.
@@ -159,7 +183,7 @@ func (s *leaf) runStage(ports []int, j int) {
 	// Round 2: parents with color j in the (class, ℓ) forest assign colors.
 	buf = nil
 	for _, p := range ports {
-		if in[p] == nil || s.isParentPort(p) || s.fcolors[s.m.PortForest[p]] != j {
+		if in[p] == nil || s.colors[p] != 0 || s.isParentPort(p) || s.fcolors[s.m.PortForest[p]] != j {
 			continue
 		}
 		u := s.usedOf(s.class[p])
@@ -175,7 +199,7 @@ func (s *leaf) runStage(ports []int, j int) {
 	in2 := s.round(buf != nil, ports)
 	// Record colors our parents picked for our parent edges.
 	for _, p := range ports {
-		if in2[p] == nil || !s.isParentPort(p) {
+		if in2[p] == nil || s.colors[p] != 0 || !s.isParentPort(p) {
 			continue
 		}
 		cc, err := wire.DecodeInt(in2[p])

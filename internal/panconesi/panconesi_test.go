@@ -1,12 +1,17 @@
 package panconesi
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dist"
+	"repro/internal/forest"
 	"repro/internal/graph"
+	"repro/internal/wire"
 )
 
 func TestEdgeColoringLegalAndPaletteBound(t *testing.T) {
@@ -201,5 +206,108 @@ func TestCompiledRunAllocs(t *testing.T) {
 	const ceiling = 10000 // ~1.5× the 6700 measured
 	if allocs > ceiling {
 		t.Fatalf("%.0f allocs per run, ceiling %d", allocs, ceiling)
+	}
+}
+
+// garbageProc forwards rounds to the real Process but hands back an inbox
+// with a garbage message on every port, and records whether anything was
+// staged. Every garbage message is one that, if read, must change the
+// leaf's state or panic: an out-of-palette color, or a used set covering
+// the whole palette (no free color left).
+type garbageProc struct {
+	dist.Process
+	rng     *rand.Rand
+	palette int
+	sent    bool
+}
+
+func (g *garbageProc) Round(out [][]byte) [][]byte {
+	for _, m := range out {
+		if m != nil {
+			g.sent = true
+		}
+	}
+	g.Process.Round(out)
+	in := make([][]byte, g.Deg())
+	for p := range in {
+		if g.rng.Intn(2) == 0 {
+			in[p] = wire.AppendInt(nil, g.palette+1+g.rng.Intn(100))
+		} else {
+			full := make([]uint64, (g.palette+64)/64)
+			for c := 1; c <= g.palette; c++ {
+				full[c/64] |= 1 << (c % 64)
+			}
+			in[p] = appendSet(nil, full)
+		}
+	}
+	return in
+}
+
+// TestDeadStagesReadNothing pins the dead-stage predicate EdgeColorMulti
+// idles on. Each leaf walks the stages as EdgeColorMulti does, but runs a
+// stage the predicate calls dead through garbageProc: it must stage no
+// message and leave colors and used bitmaps exactly as they were. A
+// predicate that idled a stage which reads fails here; the engine-agreement
+// oracles cannot see that mistake, since every engine would idle alike.
+func TestDeadStagesReadNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		classes int
+	}{
+		{"gnm", graph.GNM(80, 400, 3), 1},
+		{"gnm-3class", graph.GNM(80, 400, 3), 3},
+		{"regular-2class", graph.RandomRegular(64, 8, 2), 2},
+		{"tree", graph.RandomTree(60, 1), 1},
+		{"star", graph.Star(20), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			degBound := tc.g.MaxDegree()
+			var dead, live atomic.Int64
+			_, err := dist.Run(tc.g, func(v dist.Process) []int {
+				classOf := make([]int, v.Deg())
+				for p := range classOf {
+					classOf[p] = v.ID()*v.NeighborID(p)%tc.classes + 1
+				}
+				m := forest.AssignLabelsClasses(v, classOf, degBound)
+				s := newLeaf(v, m, classOf, degBound)
+				s.fcolors = forest.ThreeColor(v, m)
+				rng := rand.New(rand.NewSource(int64(v.ID())))
+				rest := s.byLabel
+				for l := 1; l <= degBound; l++ {
+					n := 0
+					for n < len(rest) && s.label(m.PortLabel[rest[n]]) == l {
+						n++
+					}
+					for j := 1; j <= stages; j++ {
+						if !s.dead(rest[:n], j) {
+							live.Add(1)
+							s.runStage(rest[:n], j)
+							continue
+						}
+						dead.Add(1)
+						colors, used := slices.Clone(s.colors), slices.Clone(s.used)
+						gp := &garbageProc{Process: v, rng: rng, palette: 2*degBound - 1}
+						s.v = gp
+						s.runStage(rest[:n], j)
+						s.v = v
+						if gp.sent {
+							panic(fmt.Sprintf("dead stage (%d,%d) staged a message", l, j))
+						}
+						if !slices.Equal(colors, s.colors) || !slices.Equal(used, s.used) {
+							panic(fmt.Sprintf("dead stage (%d,%d) changed the leaf's state", l, j))
+						}
+					}
+					rest = rest[n:]
+				}
+				return s.colors
+			}, dist.WithEngine(dist.Lockstep))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dead.Load() == 0 || live.Load() == 0 {
+				t.Fatalf("dead=%d live=%d stages: the workload must exercise both", dead.Load(), live.Load())
+			}
+		})
 	}
 }

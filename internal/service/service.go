@@ -4,7 +4,7 @@
 // A request names a generated graph (exp.GraphSpec), a coloring kind (edge
 // or vertex), an algorithm, and a seed. The service resolves it against a
 // bounded LRU of built graphs (each carrying reusable dist runner pools),
-// then serves it through four layers:
+// then serves it through three layers:
 //
 //   - a wire fast path: raw request bytes map straight to prerendered
 //     response bytes in a lock-striped LRU (fastCache), so a repeat request
@@ -14,12 +14,10 @@
 //     deterministic, so a key has exactly one possible value, and a hit
 //     costs zero runtime rounds (and, with the response body memoized on
 //     the entry, zero encoding work);
-//   - a micro-batcher: concurrent misses are collected for a short window,
-//     duplicates of the same key are coalesced onto one execution
-//     (single-flight), and distinct jobs of a batch dispatch together;
-//   - a bounded worker stage executing each job on the graph's runner pool
-//     (dist.Pool), so per-vertex runtime state is amortized across requests
-//     touching the same graph.
+//   - a bounded worker stage: concurrent misses of the same key coalesce onto
+//     one execution (single-flight), which the first of them runs inline on
+//     the graph's runner pool (dist.Pool), so per-vertex runtime state is
+//     amortized across requests touching the same graph.
 //
 // Responses are byte-identical to a direct dist.Run of the same request —
 // fast-lane hits, cache hits, coalesced waiters, and fresh computations
@@ -32,7 +30,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/algreg"
 	"repro/internal/dist"
@@ -53,17 +50,6 @@ type Config struct {
 	FastEntries int
 	// GraphEntries bounds the built-graph LRU (default 64).
 	GraphEntries int
-	// BatchWindow is how long the batcher holds the first miss of a batch
-	// waiting for companions (default 200µs). Misses pay up to this much
-	// extra latency; in exchange bursts dispatch as one grouped wave and
-	// same-key arrivals within the window coalesce before any of them
-	// executes. Cache hits never enter the batcher. Latency-critical
-	// deployments can set it to 1ns to make dispatch effectively
-	// immediate.
-	BatchWindow time.Duration
-	// MaxBatch dispatches a batch early once it has this many distinct
-	// jobs (default 64).
-	MaxBatch int
 	// Sessions bounds the live dynamic graph sessions (default 32); the
 	// coldest session is evicted — state and all — when the table is full.
 	Sessions int
@@ -109,12 +95,6 @@ func (c Config) withDefaults() Config {
 	if c.GraphEntries <= 0 {
 		c.GraphEntries = 64
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 200 * time.Microsecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.Sessions <= 0 {
 		c.Sessions = 32
 	}
@@ -144,16 +124,14 @@ const (
 	Miss Outcome = "miss"
 )
 
-// flight is one in-flight execution: the job at most one batch carries for a
-// given key at a time. Waiters accumulate until the result lands.
+// flight is one in-flight execution: at most one per key at a time, run by
+// the request that created it. Coalesced requests wait on done, after which
+// val and err are read-only.
 type flight struct {
-	c       *canonReq
-	waiters []chan flightResult
-}
-
-type flightResult struct {
-	val *cacheValue
-	err error
+	c    *canonReq
+	done chan struct{}
+	val  *cacheValue
+	err  error
 }
 
 // ServiceStats is the /statz snapshot. Counters are striped internally;
@@ -174,9 +152,9 @@ type ServiceStats struct {
 	// outside the Requests/outcome accounting — this is the counter that
 	// makes a client spraying garbage visible.
 	BadRequests int64 `json:"badRequests"`
-	Batches     int64 `json:"batches"`
-	MaxBatch    int64 `json:"maxBatch"`
-	Mutations   int64 `json:"mutations"`
+	// Batches counts flights dispatched, one per non-coalesced miss.
+	Batches   int64 `json:"batches"`
+	Mutations int64 `json:"mutations"`
 	// Subscribers is the current streaming-subscriber gauge; Subscribes,
 	// Delivered, and Dropped are the monotone feed counters (accepted
 	// subscriptions, delta frames written, subscribers dropped by
@@ -224,7 +202,6 @@ type Service struct {
 	sessions *sessionTable
 	hub      *subHub
 	sem      chan struct{}
-	submit   chan *flight
 
 	mu       sync.Mutex
 	inflight map[string]*flight
@@ -232,7 +209,6 @@ type Service struct {
 
 	counters serviceCounters
 	batches  atomic.Int64
-	maxBatch atomic.Int64
 	// algGauges holds the last measured palette figures per servable
 	// algorithm (ServeIndex slots), written whenever a fresh run or a peer
 	// fill produces a record. Gauges, not counters: /statz shows the most
@@ -241,8 +217,9 @@ type Service struct {
 		colorsUsed, paletteBound atomic.Int64
 	}
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// wg counts flights executing, so Close closes the runner pools only
+	// after the last of them has finished.
+	wg sync.WaitGroup
 }
 
 // New starts a Service with the given configuration.
@@ -256,20 +233,16 @@ func New(cfg Config) *Service {
 		sessions: newSessionTable(cfg.Sessions),
 		hub:      newSubHub(cfg.MaxSubscribers, cfg.SessionSubscribers, cfg.FeedBuffer),
 		sem:      make(chan struct{}, cfg.Workers),
-		submit:   make(chan *flight),
 		inflight: make(map[string]*flight),
-		stop:     make(chan struct{}),
 	}
 	// A session's end — eviction, drop, or shutdown — ends its feed:
 	// subscribers get an explicit close event, never a silent stall.
 	s.sessions.onClose = s.hub.closeFeed
-	s.wg.Add(1)
-	go s.batchLoop()
 	return s
 }
 
-// Close stops the batcher and closes every runner pool. Handle calls racing
-// with Close may return ErrClosed.
+// Close waits for the executing flights, then closes every runner pool.
+// Handle calls racing with Close may return ErrClosed.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -278,7 +251,6 @@ func (s *Service) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.stop)
 	s.wg.Wait()
 	s.graphs.close()
 	s.sessions.close()
@@ -302,7 +274,7 @@ func (e *badRequestError) Error() string { return "bad request body: " + e.err.E
 func (e *badRequestError) Unwrap() error { return e.err }
 
 // Handle serves one request: cache lookup, then coalescing onto an in-flight
-// execution, then a batched fresh execution. Safe for arbitrary concurrency.
+// execution, then a fresh execution. Safe for arbitrary concurrency.
 func (s *Service) Handle(req Request) (*Response, Outcome, error) {
 	c, v, outcome, err := s.handleCore(req)
 	if err != nil {
@@ -370,7 +342,7 @@ func (s *Service) HandleRaw(body []byte) (resp []byte, key string, outcome Outco
 }
 
 // handleCore is the shared request path behind Handle and HandleRaw:
-// resolve, result-cache lookup, then the single-flight batcher. It owns all
+// resolve, result-cache lookup, then single-flight execution. It owns all
 // counter accounting for the request.
 func (s *Service) handleCore(req Request) (*canonReq, *cacheValue, Outcome, error) {
 	c, err := s.resolve(req)
@@ -388,140 +360,92 @@ func (s *Service) handleCore(req Request) (*canonReq, *cacheValue, Outcome, erro
 		return c, v, Hit, nil
 	}
 
-	ch := make(chan flightResult, 1)
-	outcome := Miss
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		ctr.errors.Add(1)
 		return nil, nil, "", ErrClosed
 	}
-	f, ok := s.inflight[c.key]
-	if ok {
-		f.waiters = append(f.waiters, ch)
-		outcome = Coalesced
-	} else {
-		f = &flight{c: c, waiters: []chan flightResult{ch}}
+	f, coalesced := s.inflight[c.key]
+	if !coalesced {
+		f = &flight{c: c, done: make(chan struct{})}
 		s.inflight[c.key] = f
+		s.wg.Add(1)
 	}
 	s.mu.Unlock()
-	if outcome == Coalesced {
+	outcome := Miss
+	if coalesced {
 		ctr.coalesced.Add(1)
+		outcome = Coalesced
+		<-f.done
 	} else {
-		select {
-		case s.submit <- f:
-		case <-s.stop:
-			s.fail(f, ErrClosed)
-		}
+		s.exec(f)
 	}
-
-	r := <-ch
-	if r.err != nil {
+	if f.err != nil {
 		ctr.errors.Add(1)
-		return nil, nil, "", r.err
+		return nil, nil, "", f.err
 	}
-	return c, r.val, outcome, nil
+	return c, f.val, outcome, nil
 }
 
-// batchLoop is the micro-batcher: it collects submitted flights until the
-// batch window closes (measured from the first flight of the batch) or the
-// batch is full, then dispatches the whole batch to the worker stage.
-func (s *Service) batchLoop() {
-	defer s.wg.Done()
-	var batch []*flight
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		s.batches.Add(1)
-		if n := int64(len(batch)); n > s.maxBatch.Load() {
-			s.maxBatch.Store(n)
-		}
-		for _, f := range batch {
-			s.wg.Add(1)
-			go s.exec(f)
-		}
-		batch = nil
-	}
-	for {
-		select {
-		case f := <-s.submit:
-			batch = append(batch, f)
-			if len(batch) == 1 {
-				timer.Reset(s.cfg.BatchWindow)
-			}
-			if len(batch) >= s.cfg.MaxBatch {
-				if !timer.Stop() {
-					<-timer.C
-				}
-				flush()
-			}
-		case <-timer.C:
-			flush()
-		case <-s.stop:
-			for _, f := range batch {
-				s.fail(f, ErrClosed)
-			}
-			// Flights submitted concurrently with shutdown are failed by
-			// handleCore's own select; nothing further arrives here.
-			return
-		}
-	}
-}
-
-// exec runs one flight on the bounded worker stage and delivers the cache
-// entry to every waiter. The fill renders the filling request's response
-// body eagerly, so by the time waiters wake the entry already carries the
-// bytes the HTTP layer writes.
+// exec runs one flight on the bounded worker stage, then retires it and
+// wakes its waiters. The fill renders the filling request's response body
+// eagerly, so by the time waiters wake the entry already carries the bytes
+// the HTTP layer writes. The retirement is deferred so that even a panicking
+// run cannot leave its key wedged in flight.
 func (s *Service) exec(f *flight) {
-	defer s.wg.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, f.c.key)
+		s.mu.Unlock()
+		close(f.done)
+		s.wg.Done()
+	}()
+	s.batches.Add(1)
+	f.err = errAborted
+	f.val, f.err = s.compute(f.c)
+}
+
+// errAborted is what a flight's waiters see if its run panicked.
+var errAborted = errors.New("service: execution aborted")
+
+// compute produces the cache entry for c under a worker slot: an entry that
+// landed since the miss, a peer's record, or a local run.
+func (s *Service) compute(c *canonReq) (*cacheValue, error) {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 	// A flight for this key may have completed and cached between our
 	// cache miss and this execution; determinism makes recomputing merely
 	// wasteful, so look once more before running.
-	v, ok := s.cache.getHash(f.c.key, f.c.hash)
+	v, ok := s.cache.getHash(c.key, c.hash)
 	if !ok && s.cfg.RemoteFill != nil {
 		// Cross-node fill: a miss here may be a hit in the key's rendezvous
 		// owner's cache. Determinism makes a fetched record as good as a
 		// local run — same key, same bytes — and the decode guard means a
 		// corrupt or impostor response degrades to computing, never to
 		// serving bad bytes.
-		if raw := s.cfg.RemoteFill(f.c.req.Graph.String(), f.c.key); raw != nil {
+		if raw := s.cfg.RemoteFill(c.req.Graph.String(), c.key); raw != nil {
 			if rec, err := decodeRecord(raw); err == nil {
-				s.counters.stripe(f.c.hash).filled.Add(1)
-				s.observePalette(f.c, rec)
-				v = s.cache.putHash(f.c.key, f.c.hash, newCacheValue(f.c.key, raw))
+				s.counters.stripe(c.hash).filled.Add(1)
+				s.observePalette(c, rec)
+				v = s.cache.putHash(c.key, c.hash, newCacheValue(c.key, raw))
 				ok = true
 			}
 		}
 	}
 	if !ok {
-		s.counters.stripe(f.c.hash).runs.Add(1)
-		rec, err := f.c.runner(f.c)
+		s.counters.stripe(c.hash).runs.Add(1)
+		rec, err := c.runner(c)
 		if err != nil {
-			s.fail(f, err)
-			return
+			return nil, err
 		}
-		s.observePalette(f.c, rec)
-		v = s.cache.putHash(f.c.key, f.c.hash, newCacheValue(f.c.key, rec.encode()))
+		s.observePalette(c, rec)
+		v = s.cache.putHash(c.key, c.hash, newCacheValue(c.key, rec.encode()))
 	}
-	if _, err := v.bodyFor(f.c.req.Graph.String()); err != nil {
-		s.fail(f, err)
-		return
+	if _, err := v.bodyFor(c.req.Graph.String()); err != nil {
+		return nil, err
 	}
-	s.mu.Lock()
-	delete(s.inflight, f.c.key)
-	waiters := f.waiters
-	f.waiters = nil
-	s.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- flightResult{val: v}
-	}
+	return v, nil
 }
 
 // observePalette stores a record's measured palette figures into the
@@ -530,18 +454,6 @@ func (s *Service) observePalette(c *canonReq, rec *record) {
 	g := &s.algGauges[c.alg.ServeIndex()]
 	g.colorsUsed.Store(int64(rec.colorsUsed))
 	g.paletteBound.Store(int64(rec.palette))
-}
-
-// fail delivers err to every waiter of f and retires the flight.
-func (s *Service) fail(f *flight, err error) {
-	s.mu.Lock()
-	delete(s.inflight, f.c.key)
-	waiters := f.waiters
-	f.waiters = nil
-	s.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- flightResult{err: err}
-	}
 }
 
 // CachedRecord returns the encoded cache record under key, if the result
@@ -580,7 +492,6 @@ func (s *Service) Stats() ServiceStats {
 		Errors:      t.errors,
 		BadRequests: t.badRequests,
 		Batches:     s.batches.Load(),
-		MaxBatch:    s.maxBatch.Load(),
 		Mutations:   t.mutations,
 		Subscribers: int64(s.hub.subscribers()),
 		Subscribes:  t.subscribes,

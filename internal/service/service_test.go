@@ -6,9 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/exp"
@@ -16,7 +16,83 @@ import (
 )
 
 func testConfig() Config {
-	return Config{Workers: 2, CacheEntries: 128, GraphEntries: 8, BatchWindow: 100 * time.Microsecond}
+	return Config{Workers: 2, CacheEntries: 128, GraphEntries: 8}
+}
+
+// TestBatchesCountFlights: every non-coalesced miss dispatches exactly one
+// flight, so N distinct sequential misses give Batches == Runs == N (and a
+// repeat is a hit that dispatches nothing).
+func TestBatchesCountFlights(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	const n = 5
+	for seed := int64(0); seed < n; seed++ {
+		if _, outcome, err := s.Handle(gnmReq("edge", "pr", seed)); err != nil || outcome != Miss {
+			t.Fatalf("seed %d: outcome %q err %v, want miss", seed, outcome, err)
+		}
+	}
+	if _, outcome, err := s.Handle(gnmReq("edge", "pr", 0)); err != nil || outcome != Hit {
+		t.Fatalf("repeat: outcome %q err %v, want hit", outcome, err)
+	}
+	st := s.Stats()
+	if st.Batches != n || st.Runs != n {
+		t.Fatalf("batches=%d runs=%d, want %d each", st.Batches, st.Runs, n)
+	}
+}
+
+// TestConcurrentMissesCoalesce: same-key misses that arrive while the key's
+// flight is executing attach to it instead of running again. The test holds
+// every worker slot so the leader's flight stays in flight until all the
+// others have attached.
+func TestConcurrentMissesCoalesce(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	for i := 0; i < cap(s.sem); i++ {
+		s.sem <- struct{}{}
+	}
+	const n = 6
+	type result struct {
+		body    []byte
+		outcome Outcome
+		err     error
+	}
+	results := make(chan result, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, outcome, err := s.Handle(gnmReq("edge", "be", 3))
+			var body []byte
+			if err == nil {
+				body, err = json.Marshal(resp)
+			}
+			results <- result{body, outcome, err}
+		}()
+	}
+	for s.Stats().Coalesced < n-1 {
+		runtime.Gosched()
+	}
+	for i := 0; i < cap(s.sem); i++ {
+		<-s.sem
+	}
+	var first []byte
+	outcomes := map[Outcome]int{}
+	for i := 0; i < n; i++ {
+		r := <-results
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if first == nil {
+			first = r.body
+		} else if !bytes.Equal(first, r.body) {
+			t.Fatal("coalesced responses differ")
+		}
+		outcomes[r.outcome]++
+	}
+	if outcomes[Miss] != 1 || outcomes[Coalesced] != n-1 {
+		t.Fatalf("outcomes %v, want 1 miss and %d coalesced", outcomes, n-1)
+	}
+	if st := s.Stats(); st.Runs != 1 || st.Batches != 1 {
+		t.Fatalf("runs=%d batches=%d, want 1 each", st.Runs, st.Batches)
+	}
 }
 
 func gnmReq(kind, alg string, seed int64) Request {
