@@ -19,6 +19,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/panconesi"
 	"repro/internal/reduce"
+	"repro/internal/service"
 )
 
 // benchGraph is the standard Table-1/2 workload: a random graph with target
@@ -454,4 +455,57 @@ func runPooled[T any](b *testing.B, g *graph.Graph, algo dist.Algo[T], seed int6
 		}
 	}
 	return stats
+}
+
+// BenchmarkDurableMutate is one base-less 16-op mutate batch on a live
+// WAL-backed colord session (gnm(512,1536), no fsync) whose log already
+// holds 1k or 32k records. Batches alternate inserting and deleting the
+// same 16 non-edges, so every iteration starts from one of two states. A
+// live session's request never reads its log, so the rows agree within
+// noise: the cost is the batch, not the history.
+func BenchmarkDurableMutate(b *testing.B) {
+	base := exp.GraphSpec{Family: "gnm", N: 512, M: 1536, Seed: 1}
+	g, err := base.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ins, del []exp.Mutation
+	for u := 0; len(ins) < 16; u++ {
+		if v := u + g.N()/2; !g.HasEdge(u, v) {
+			ins = append(ins, exp.Mutation{Op: exp.OpInsert, U: u, V: v})
+			del = append(del, exp.Mutation{Op: exp.OpDelete, U: u, V: v})
+		}
+	}
+	history := make([]exp.Mutation, 0, 1024)
+	for len(history) < cap(history) {
+		history = append(append(history, ins...), del...)
+	}
+	for _, row := range []struct {
+		name    string
+		records int64
+	}{{"log=1k", 1 << 10}, {"log=32k", 32 << 10}} {
+		b.Run(row.name, func(b *testing.B) {
+			s := service.New(service.Config{WALDir: b.TempDir()})
+			defer s.Close()
+			if _, _, err := s.Mutate(service.MutateRequest{Session: "b", Base: &base}); err != nil {
+				b.Fatal(err)
+			}
+			for s.Stats().WALAppends < row.records {
+				if _, _, err := s.Mutate(service.MutateRequest{Session: "b", Ops: history}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ops := ins
+				if i%2 == 1 {
+					ops = del
+				}
+				if _, _, err := s.Mutate(service.MutateRequest{Session: "b", Ops: ops}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -106,14 +106,22 @@ func TestCrashRecoveryMatchesOracle(t *testing.T) {
 	}
 
 	// Churn op by op; an assassin SIGKILLs the process while commits are in
-	// flight. Track what was acknowledged vs what was sent: the recovered
-	// state may legitimately land anywhere in [acked, sent].
-	killAt := time.AfterFunc(150*time.Millisecond, func() {
+	// flight. It is armed by progress (a third of the ops sent), not by a
+	// wall-clock timer, so a fast daemon cannot finish the churn first; it
+	// then races the requests that follow. Track what was acknowledged vs
+	// what was sent: the recovered state may legitimately land anywhere in
+	// [acked, sent].
+	arm := make(chan struct{})
+	go func() {
+		<-arm
 		cmd.Process.Signal(syscall.SIGKILL)
-	})
+	}()
 	acked, sent := 0, 0
 	ackedPrints := []string{}
-	for _, op := range muts {
+	for i, op := range muts {
+		if i == len(muts)/3 {
+			close(arm)
+		}
 		sent++
 		mr, err := mutate(url, service.MutateRequest{Session: "crash", Ops: []exp.Mutation{op}})
 		if err != nil {
@@ -122,8 +130,10 @@ func TestCrashRecoveryMatchesOracle(t *testing.T) {
 		acked++
 		ackedPrints = append(ackedPrints, mr.Fingerprint)
 	}
-	killAt.Stop()
-	cmd.Process.Signal(syscall.SIGKILL) // in case churn outran the timer
+	if sent <= len(muts)/3 {
+		close(arm) // the churn failed before arming; release the assassin
+	}
+	cmd.Process.Signal(syscall.SIGKILL)
 	cmd.Wait()
 	if acked == len(muts) {
 		t.Fatalf("churn finished all %d ops before the kill — no crash exercised", len(muts))

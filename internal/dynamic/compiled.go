@@ -61,7 +61,7 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 		dirty[v] = true // the initial view must be announced before halting
 		active = append(active, int32(v))
 	}
-	used := make(map[int]bool)
+	var used colorSet
 	t := env.NewTally()
 	for len(active) > 0 {
 		if err := t.StartRound(len(active)); err != nil {
@@ -110,9 +110,9 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 				if col[slot] != 0 || other < v {
 					continue
 				}
-				clear(used)
+				used.reset()
 				for _, c := range rc.forbidden[eids[q]] {
-					used[c] = true
+					used.add(c)
 				}
 				blocked := false
 				for r := 0; r < deg && !blocked; r++ {
@@ -123,7 +123,7 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 					if c := col[base+r]; c == 0 {
 						blocked = true
 					} else {
-						used[int(c)] = true
+						used.add(int(c))
 					}
 				}
 				u := other
@@ -137,11 +137,11 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 					if c := sent[ub+j]; c == 0 {
 						blocked = true
 					} else {
-						used[int(c)] = true
+						used.add(int(c))
 					}
 				}
 				if !blocked {
-					col[slot] = int32(mex(used))
+					col[slot] = int32(used.mex())
 					undecided[v]--
 					dirty[v] = true
 				}

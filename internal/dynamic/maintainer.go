@@ -4,7 +4,8 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/dist"
@@ -135,13 +136,23 @@ type Maintainer struct {
 	mu     sync.Mutex
 	cfg    Config
 	ov     *graph.Overlay
-	colors map[graph.Edge]int
+	colors map[edgeKey]int
 	pools  *poolLRU
 	stats  Stats
 	closed bool
 
-	// scratch reused across repairs
-	nbrBuf []int32
+	// Per-mutation scratch, reused across repairs so a mutation allocates
+	// for its repair run, not for its bookkeeping. All guarded by mu.
+	nbrBuf    []int32
+	seeds     []graph.Edge
+	succBuf   []graph.Edge
+	heap      edgeHeap
+	staged    staging
+	boundary  []edgeKey // committed edges constraining a repair
+	used      colorSet
+	origVerts []int
+	forbidden [][]int
+	forbidBuf []int
 }
 
 // New builds a Maintainer over base (which must carry default vertex
@@ -161,7 +172,7 @@ func New(base *graph.Graph, cfg Config) (*Maintainer, error) {
 	m := &Maintainer{
 		cfg:    cfg,
 		ov:     ov,
-		colors: make(map[graph.Edge]int, base.M()),
+		colors: make(map[edgeKey]int, base.M()),
 		pools:  newPoolLRU(cfg.PoolEntries, cfg.Runners),
 	}
 	if err := m.recolorAll(base); err != nil {
@@ -181,7 +192,7 @@ func (m *Maintainer) recolorAll(g *graph.Graph) error {
 	}
 	clear(m.colors)
 	for id, e := range g.Edges() {
-		m.colors[e] = colors[id]
+		m.colors[keyOf(e)] = colors[id]
 	}
 	m.stats.FullRuns++
 	m.stats.FullActivations += int64(stats.Activations)
@@ -205,7 +216,8 @@ func (m *Maintainer) Insert(u, v int) (Report, error) {
 	}
 	m.stats.Mutations++
 	m.stats.Inserts++
-	rep, changed, err := m.repair([]graph.Edge{canonEdge(u, v)})
+	m.seeds = append(m.seeds[:0], canonEdge(u, v))
+	rep, changed, err := m.repair(m.seeds)
 	if err != nil {
 		// The overlay mutated but the coloring did not: serving it would
 		// violate the contract, so the maintainer poisons itself.
@@ -232,13 +244,13 @@ func (m *Maintainer) Delete(u, v int) (Report, error) {
 	if err := m.ov.Delete(u, v); err != nil {
 		return Report{}, err
 	}
-	delete(m.colors, e)
+	delete(m.colors, keyOf(e))
 	m.stats.Mutations++
 	m.stats.Deletes++
 	// The deleted edge's color was an input to every incident lexicographic
 	// successor; those are the change-propagation seeds.
-	seeds := m.incidentSuccessors(e)
-	rep, changed, err := m.repair(seeds)
+	m.seeds = m.appendIncidentSuccessors(m.seeds[:0], e)
+	rep, changed, err := m.repair(m.seeds)
 	if err != nil {
 		m.closed = true // see Insert: a failed repair poisons the maintainer
 		m.pools.close()
@@ -270,6 +282,13 @@ func (m *Maintainer) commit(op exp.Mutation, rep Report, changed []ChangedColor)
 
 var errClosed = errors.New("dynamic: maintainer closed")
 
+// edgeKey packs a canonical edge into one word, so the coloring and the
+// per-mutation sets hash a uint64 rather than a two-int struct. Key order
+// is lexicographic edge order.
+type edgeKey uint64
+
+func keyOf(e graph.Edge) edgeKey { return edgeKey(e.U)<<32 | edgeKey(e.V) }
+
 func canonEdge(u, v int) graph.Edge {
 	if u > v {
 		u, v = v, u
@@ -284,12 +303,11 @@ func lexLessEdge(a, b graph.Edge) bool {
 	return a.V < b.V
 }
 
-// incidentSuccessors lists the current edges incident to e that follow it
-// lexicographically, deduplicated (an edge sharing both endpoints cannot
-// exist in a simple graph, so the two endpoint scans are disjoint except
-// for e itself, which is excluded by the strict comparison).
-func (m *Maintainer) incidentSuccessors(e graph.Edge) []graph.Edge {
-	var out []graph.Edge
+// appendIncidentSuccessors appends the current edges incident to e that
+// follow it lexicographically, deduplicated (an edge sharing both endpoints
+// cannot exist in a simple graph, so the two endpoint scans are disjoint
+// except for e itself, which is excluded by the strict comparison).
+func (m *Maintainer) appendIncidentSuccessors(out []graph.Edge, e graph.Edge) []graph.Edge {
 	for _, w := range [2]int{e.U, e.V} {
 		m.nbrBuf = m.ov.AppendNeighbors(w, m.nbrBuf[:0])
 		for _, x := range m.nbrBuf {
@@ -308,11 +326,12 @@ func (m *Maintainer) incidentSuccessors(e graph.Edge) []graph.Edge {
 // is the recolor delta in lexicographic edge order, materialized only when
 // an OnCommit hook will consume it.
 func (m *Maintainer) repair(seeds []graph.Edge) (Report, []ChangedColor, error) {
-	dirty, staged := m.discover(seeds)
+	staged := m.discover(seeds)
+	dirty := staged.edges
 	if len(dirty) == 0 {
 		return Report{}, nil, nil
 	}
-	sub, origVerts, forbidden, boundary := m.repairSubgraph(dirty)
+	sub, origVerts, forbidden, boundary := m.repairSubgraph(staged)
 	pool := m.pools.get(sub)
 	res, err := pool.RunAlgo(repairBundle(sub, forbidden), m.opts()...)
 	if err != nil {
@@ -327,12 +346,12 @@ func (m *Maintainer) repair(seeds []graph.Edge) (Report, []ChangedColor, error) 
 	// broke, which must fail loudly, never splice.
 	for id, se := range sub.Edges() {
 		e := canonEdge(origVerts[se.U], origVerts[se.V])
-		if subColors[id] != staged[e] {
-			return Report{}, nil, fmt.Errorf("dynamic: repair of %v computed color %d, discovery staged %d", e, subColors[id], staged[e])
+		if c, _ := staged.lookup(e); subColors[id] != c {
+			return Report{}, nil, fmt.Errorf("dynamic: repair of %v computed color %d, discovery staged %d", e, subColors[id], c)
 		}
 	}
-	for e, c := range staged {
-		m.colors[e] = c
+	for i, e := range dirty {
+		m.colors[keyOf(e)] = staged.colors[i]
 	}
 	if err := m.checkSeam(dirty); err != nil {
 		return Report{}, nil, err
@@ -341,7 +360,7 @@ func (m *Maintainer) repair(seeds []graph.Edge) (Report, []ChangedColor, error) 
 	if m.cfg.OnCommit != nil {
 		changed = make([]ChangedColor, len(dirty))
 		for i, e := range dirty { // dirty is already in lexicographic order
-			changed[i] = ChangedColor{U: e.U, V: e.V, Color: staged[e]}
+			changed[i] = ChangedColor{U: e.U, V: e.V, Color: staged.colors[i]}
 		}
 	}
 	rep := Report{Dirty: len(dirty), Boundary: boundary, Vertices: sub.N(), Stats: res.Stats}
@@ -363,106 +382,112 @@ func (m *Maintainer) repair(seeds []graph.Edge) (Report, []ChangedColor, error) 
 // ever pushes successors, so when an edge is evaluated all lexicographically
 // smaller colors are final — the staged set is exactly the set of edges on
 // which the canonical colorings of the old and new graphs differ.
-func (m *Maintainer) discover(seeds []graph.Edge) ([]graph.Edge, map[graph.Edge]int) {
-	staged := make(map[graph.Edge]int)
-	var dirty []graph.Edge
-	h := &edgeHeap{}
-	pushed := make(map[graph.Edge]bool)
-	push := func(e graph.Edge) {
-		if !pushed[e] {
-			pushed[e] = true
-			h.push(e)
-		}
-	}
+//
+// Pops are nondecreasing (every push is a successor of the edge just
+// popped), so an edge's duplicate pushes pop back to back and are skipped
+// there, and edges are staged in lexicographic order with no sort. The
+// result is maintainer scratch, valid until the next mutation.
+func (m *Maintainer) discover(seeds []graph.Edge) *staging {
+	staged := &m.staged
+	staged.reset(m.ov.N())
+	h := &m.heap
+	h.es = h.es[:0]
 	for _, e := range seeds {
-		push(e)
+		h.push(e)
 	}
-	used := make(map[int]bool)
+	var last graph.Edge // the zero value is a self-loop, never an edge
 	for h.len() > 0 {
 		e := h.pop()
-		clear(used)
+		if e == last {
+			continue
+		}
+		last = e
+		m.used.reset()
 		for _, w := range [2]int{e.U, e.V} {
-			m.nbrBuf = m.ov.AppendNeighbors(w, m.nbrBuf[:0])
+			m.nbrBuf = m.appendPredecessorEnds(e, w)
 			for _, x := range m.nbrBuf {
 				f := canonEdge(w, int(x))
-				if !lexLessEdge(f, e) {
-					continue
-				}
-				if c, ok := staged[f]; ok {
-					used[c] = true
+				if c, ok := staged.lookup(f); ok {
+					m.used.add(c)
 				} else {
-					used[m.colors[f]] = true
+					m.used.add(m.colors[keyOf(f)])
 				}
 			}
 		}
-		newC := mex(used)
-		if newC == m.colors[e] { // 0 for a new edge, so an insert always stages
+		newC := m.used.mex()
+		if newC == m.colors[keyOf(e)] { // 0 for a new edge, so an insert always stages
 			continue
 		}
-		staged[e] = newC
-		dirty = append(dirty, e)
-		for _, f := range m.incidentSuccessors(e) {
-			push(f)
+		staged.add(e, newC)
+		m.succBuf = m.appendIncidentSuccessors(m.succBuf[:0], e)
+		for _, f := range m.succBuf {
+			h.push(f)
 		}
 	}
-	sort.Slice(dirty, func(i, j int) bool { return lexLessEdge(dirty[i], dirty[j]) })
-	return dirty, staged
+	return staged
 }
 
-// repairSubgraph builds the induced repair subgraph: exactly the dirty
-// edges, on their endpoints (relabelled order-preservingly, so lexicographic
-// edge order carries over). forbidden[subEdgeID] lists the colors of
-// committed lexicographically smaller incident edges — the boundary
-// constraints; boundary counts the distinct committed edges involved.
-func (m *Maintainer) repairSubgraph(dirty []graph.Edge) (*graph.Graph, []int, [][]int, int) {
-	dirtySet := make(map[graph.Edge]bool, len(dirty))
-	vertSet := make(map[int]bool)
+// appendPredecessorEnds returns, in m.nbrBuf, the far endpoints x of the
+// edges (w, x) that precede e lexicographically, for w an endpoint of e: the
+// neighbors of w below e's other endpoint. (With e = (u, v), u < v: an edge
+// (u, x) or (x, u) precedes e iff x < v, and (x, v) or (v, x) iff x < u.)
+func (m *Maintainer) appendPredecessorEnds(e graph.Edge, w int) []int32 {
+	return m.ov.AppendNeighborsBelow(w, e.U+e.V-w, m.nbrBuf[:0])
+}
+
+// repairSubgraph builds the induced repair subgraph: exactly the staged
+// (dirty) edges, on their endpoints (relabelled order-preservingly, so
+// lexicographic edge order carries over). forbidden[subEdgeID] lists the
+// colors of committed lexicographically smaller incident edges — the
+// boundary constraints; boundary counts the distinct committed edges
+// involved. origVerts and forbidden are maintainer scratch, valid until the
+// next mutation.
+func (m *Maintainer) repairSubgraph(staged *staging) (*graph.Graph, []int, [][]int, int) {
+	dirty := staged.edges
+	origVerts := m.origVerts[:0]
 	for _, e := range dirty {
-		dirtySet[e] = true
-		vertSet[e.U] = true
-		vertSet[e.V] = true
+		origVerts = append(origVerts, e.U, e.V)
 	}
-	origVerts := make([]int, 0, len(vertSet))
-	for v := range vertSet {
-		origVerts = append(origVerts, v)
-	}
-	sort.Ints(origVerts)
-	toSub := make(map[int]int, len(origVerts))
-	for i, v := range origVerts {
-		toSub[v] = i
+	slices.Sort(origVerts)
+	origVerts = slices.Compact(origVerts)
+	m.origVerts = origVerts
+	toSub := func(v int) int {
+		i, _ := slices.BinarySearch(origVerts, v)
+		return i
 	}
 	b := graph.NewBuilder(len(origVerts))
 	for _, e := range dirty {
-		_ = b.AddEdge(toSub[e.U], toSub[e.V])
+		_ = b.AddEdge(toSub(e.U), toSub(e.V))
 	}
 	sub := b.Build()
-	forbidden := make([][]int, sub.M())
-	boundarySet := make(map[graph.Edge]bool)
-	used := make(map[int]bool)
+	// Each forbidden[id] is a window of one flat buffer. A window is never
+	// written after it is cut, so one that a later append left behind in an
+	// outgrown array still reads correctly.
+	forbidden := slices.Grow(m.forbidden[:0], sub.M())[:sub.M()]
+	flat := m.forbidBuf[:0]
+	boundary := m.boundary[:0]
 	for id, se := range sub.Edges() {
 		e := canonEdge(origVerts[se.U], origVerts[se.V])
-		clear(used)
+		m.used.reset()
 		for _, w := range [2]int{e.U, e.V} {
-			m.nbrBuf = m.ov.AppendNeighbors(w, m.nbrBuf[:0])
+			m.nbrBuf = m.appendPredecessorEnds(e, w)
 			for _, x := range m.nbrBuf {
 				f := canonEdge(w, int(x))
-				if dirtySet[f] || !lexLessEdge(f, e) {
+				if _, isDirty := staged.lookup(f); isDirty {
 					continue
 				}
-				boundarySet[f] = true
-				used[m.colors[f]] = true
+				boundary = append(boundary, keyOf(f))
+				m.used.add(m.colors[keyOf(f)])
 			}
 		}
-		if len(used) > 0 {
-			fb := make([]int, 0, len(used))
-			for c := range used {
-				fb = append(fb, c)
-			}
-			sort.Ints(fb)
-			forbidden[id] = fb
-		}
+		start := len(flat)
+		flat = m.used.appendTo(flat)
+		forbidden[id] = flat[start:len(flat):len(flat)]
 	}
-	return sub, origVerts, forbidden, len(boundarySet)
+	slices.Sort(boundary)
+	boundary = slices.Compact(boundary)
+	m.forbidden, m.forbidBuf, m.boundary = forbidden, flat, boundary
+	return sub, origVerts, forbidden, len(boundary)
 }
 
 // checkSeam verifies legality locally around the repaired edges: no dirty
@@ -471,12 +496,12 @@ func (m *Maintainer) repairSubgraph(dirty []graph.Edge) (*graph.Graph, []int, []
 // guard that a splice bug cannot silently corrupt the maintained coloring.
 func (m *Maintainer) checkSeam(dirty []graph.Edge) error {
 	for _, e := range dirty {
-		c := m.colors[e]
+		c := m.colors[keyOf(e)]
 		for _, w := range [2]int{e.U, e.V} {
 			m.nbrBuf = m.ov.AppendNeighbors(w, m.nbrBuf[:0])
 			for _, x := range m.nbrBuf {
 				f := canonEdge(w, int(x))
-				if f != e && m.colors[f] == c {
+				if f != e && m.colors[keyOf(f)] == c {
 					return fmt.Errorf("dynamic: seam violation: edges %v and %v share color %d", e, f, c)
 				}
 			}
@@ -513,8 +538,9 @@ func (m *Maintainer) Compact() {
 	m.stats.Compactions++
 }
 
-// Graph materializes the current mutated graph (memoized between
-// mutations).
+// Graph materializes the current mutated graph as a CSR graph (default
+// identifiers). It builds a fresh graph per call; reads of the coloring do
+// not need it.
 func (m *Maintainer) Graph() *graph.Graph {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -524,35 +550,72 @@ func (m *Maintainer) Graph() *graph.Graph {
 // Colors returns the maintained coloring in the canonical edge-id order of
 // Graph(). It is byte-identical to CanonicalColors(Graph()).
 func (m *Maintainer) Colors() []int {
+	return m.Summary(true).Colors
+}
+
+// appendColors appends the coloring in canonical edge-id order without
+// materializing the graph: Builder.Build numbers edges lexicographically,
+// and AppendNeighbors lists neighbors in increasing order, so walking u
+// ascending over its neighbors w > u visits the edges in id order. Caller
+// holds mu.
+func (m *Maintainer) appendColors(dst []int) []int {
+	for u := 0; u < m.ov.N(); u++ {
+		m.nbrBuf = m.ov.AppendNeighbors(u, m.nbrBuf[:0])
+		for _, w := range m.nbrBuf {
+			if int(w) > u {
+				dst = append(dst, m.colors[keyOf(graph.Edge{U: u, V: int(w)})])
+			}
+		}
+	}
+	return dst
+}
+
+// Summary is one atomic read of a maintainer's state: what a mutate response
+// or a subscriber's hello reports, taken under a single lock hold so that a
+// concurrent commit cannot pair one state's fingerprint with another's
+// shape, totals, or coloring.
+type Summary struct {
+	Fingerprint graph.Fingerprint
+	N, M, Delta int
+	// Stats is the cumulative accounting; Stats.Mutations is the commit seq
+	// of this state — every later commit has a greater Seq.
+	Stats Stats
+	// Colors is the coloring in canonical edge-id order (as Colors), or nil
+	// when not requested.
+	Colors []int
+}
+
+// Summary reads the current state atomically, with the full coloring when
+// withColors is set.
+func (m *Maintainer) Summary(withColors bool) Summary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	g := m.ov.Materialize()
-	out := make([]int, g.M())
-	for id, e := range g.Edges() {
-		out[id] = m.colors[e]
+	s := Summary{
+		Fingerprint: m.ov.Fingerprint(),
+		N:           m.ov.N(),
+		M:           m.ov.M(),
+		Delta:       m.ov.MaxDegree(),
+		Stats:       m.stats,
 	}
-	return out
+	if withColors {
+		s.Colors = m.appendColors(make([]int, 0, s.M))
+	}
+	return s
 }
 
 // Snapshot returns the current fingerprint, shape, and coloring as one
 // atomic read, so concurrent mutations cannot tear a (fingerprint, colors)
 // pair apart — the pair is what fingerprint-keyed caches store.
 func (m *Maintainer) Snapshot() (fp graph.Fingerprint, n, mm, delta int, colors []int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	g := m.ov.Materialize()
-	colors = make([]int, g.M())
-	for id, e := range g.Edges() {
-		colors[id] = m.colors[e]
-	}
-	return m.ov.Fingerprint(), m.ov.N(), m.ov.M(), m.ov.MaxDegree(), colors
+	s := m.Summary(true)
+	return s.Fingerprint, s.N, s.M, s.Delta, s.Colors
 }
 
 // ColorOf returns the color of edge (u, v), if present.
 func (m *Maintainer) ColorOf(u, v int) (int, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c, ok := m.colors[canonEdge(u, v)]
+	c, ok := m.colors[keyOf(canonEdge(u, v))]
 	return c, ok
 }
 
@@ -612,24 +675,6 @@ func (m *Maintainer) Poisoned() bool {
 	return m.closed
 }
 
-// Shape returns the current fingerprint and dimensions as one atomic read,
-// without materializing the coloring — the cheap monitoring counterpart of
-// Snapshot.
-func (m *Maintainer) Shape() (fp graph.Fingerprint, n, mm, delta int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ov.Fingerprint(), m.ov.N(), m.ov.M(), m.ov.MaxDegree()
-}
-
-// StreamState returns the current fingerprint, dimensions, and committed-
-// mutation count as one atomic read — what a streaming subscriber's hello
-// snapshot needs: every commit after this read has Seq greater than seq.
-func (m *Maintainer) StreamState() (fp graph.Fingerprint, n, mm, delta int, seq int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ov.Fingerprint(), m.ov.N(), m.ov.M(), m.ov.MaxDegree(), m.stats.Mutations
-}
-
 // Stats snapshots the cumulative accounting.
 func (m *Maintainer) Stats() Stats {
 	m.mu.Lock()
@@ -646,6 +691,92 @@ func (m *Maintainer) Close() {
 	}
 	m.closed = true
 	m.pools.close()
+}
+
+// staging is discovery's result: the dirty edges in lexicographic order
+// and, index-aligned, their packed keys and new colors. Lookups
+// binary-search the sorted keys, behind a per-vertex filter: mark[v] ==
+// epoch iff v is an endpoint of a staged edge, so the common miss — an edge
+// away from the dirty region — costs two array reads.
+type staging struct {
+	edges  []graph.Edge
+	keys   []edgeKey
+	colors []int
+	mark   []uint32
+	epoch  uint32
+}
+
+// reset empties the staging for a graph on n vertices.
+func (s *staging) reset(n int) {
+	s.edges, s.keys, s.colors = s.edges[:0], s.keys[:0], s.colors[:0]
+	if len(s.mark) < n {
+		s.mark = make([]uint32, n)
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale stamps could collide
+		clear(s.mark)
+		s.epoch = 1
+	}
+}
+
+// add stages e, which must follow every edge staged so far.
+func (s *staging) add(e graph.Edge, c int) {
+	s.edges = append(s.edges, e)
+	s.keys = append(s.keys, keyOf(e))
+	s.colors = append(s.colors, c)
+	s.mark[e.U], s.mark[e.V] = s.epoch, s.epoch
+}
+
+func (s *staging) lookup(e graph.Edge) (int, bool) {
+	if s.mark[e.U] != s.epoch || s.mark[e.V] != s.epoch {
+		return 0, false
+	}
+	i, ok := slices.BinarySearch(s.keys, keyOf(e))
+	if !ok {
+		return 0, false
+	}
+	return s.colors[i], true
+}
+
+// colorSet is a reusable set of colors for the first-fit rule: a bitmap
+// grown on demand and cleared in place, standing in for a per-edge map.
+type colorSet struct{ words []uint64 }
+
+func (s *colorSet) reset() { clear(s.words) }
+
+func (s *colorSet) add(c int) {
+	w := c >> 6
+	for w >= len(s.words) {
+		s.words = append(s.words, 0)
+	}
+	s.words[w] |= 1 << (c & 63)
+}
+
+// mex returns the smallest color >= 1 not in the set.
+func (s *colorSet) mex() int {
+	for i, w := range s.words {
+		if i == 0 {
+			w |= 1 // 0 is "uncolored", never a candidate
+		}
+		if w != ^uint64(0) {
+			return i<<6 + bits.TrailingZeros64(^w)
+		}
+	}
+	return max(len(s.words)<<6, 1)
+}
+
+// appendTo appends the set's colors >= 1 in increasing order.
+func (s *colorSet) appendTo(dst []int) []int {
+	for i, w := range s.words {
+		if i == 0 {
+			w &^= 1
+		}
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, i<<6+bits.TrailingZeros64(w))
+		}
+	}
+	return dst
 }
 
 // edgeHeap is a lexicographic min-heap of edges.

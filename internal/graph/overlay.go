@@ -68,12 +68,12 @@ type Overlay struct {
 	added   map[Edge]struct{} // present, not in base
 	removed map[Edge]struct{} // in base, absent
 	addAdj  map[int][]int32   // per-vertex inserted neighbors, sorted
+	remAdj  map[int][]int32   // per-vertex removed base neighbors, sorted
 	deg     []int             // current degree per vertex
 	degHist []int             // degHist[d] = #vertices of degree d
 	maxDeg  int               // current Δ, tracked via degHist
 	m       int               // current edge count
 	fp      Fingerprint       // incremental EdgeSetFingerprint
-	mat     *Graph            // memoized Materialize, nil after a mutation
 }
 
 // NewOverlay returns an overlay over base with no pending mutations. It
@@ -89,12 +89,12 @@ func NewOverlay(base *Graph) (*Overlay, error) {
 		added:   make(map[Edge]struct{}),
 		removed: make(map[Edge]struct{}),
 		addAdj:  make(map[int][]int32),
+		remAdj:  make(map[int][]int32),
 		deg:     base.Degrees(),
 		degHist: make([]int, base.N()+1),
 		maxDeg:  base.MaxDegree(),
 		m:       base.M(),
 		fp:      base.EdgeSetFingerprint(),
-		mat:     base,
 	}
 	for _, d := range o.deg {
 		o.degHist[d]++
@@ -157,16 +157,17 @@ func (o *Overlay) Insert(u, v int) error {
 	e := canonical(u, v)
 	if _, wasRemoved := o.removed[e]; wasRemoved {
 		delete(o.removed, e) // re-inserting a deleted base edge cancels out
+		removeAdj(o.remAdj, e.U, int32(e.V))
+		removeAdj(o.remAdj, e.V, int32(e.U))
 	} else {
 		o.added[e] = struct{}{}
-		o.insertAdj(e.U, int32(e.V))
-		o.insertAdj(e.V, int32(e.U))
+		insertAdj(o.addAdj, e.U, int32(e.V))
+		insertAdj(o.addAdj, e.V, int32(e.U))
 	}
 	o.bumpDeg(e.U, +1)
 	o.bumpDeg(e.V, +1)
 	o.m++
 	o.fp.xor(edgeHash(e))
-	o.mat = nil
 	return nil
 }
 
@@ -179,34 +180,35 @@ func (o *Overlay) Delete(u, v int) error {
 	e := canonical(u, v)
 	if _, wasAdded := o.added[e]; wasAdded {
 		delete(o.added, e) // deleting an inserted edge cancels out
-		o.removeAdj(e.U, int32(e.V))
-		o.removeAdj(e.V, int32(e.U))
+		removeAdj(o.addAdj, e.U, int32(e.V))
+		removeAdj(o.addAdj, e.V, int32(e.U))
 	} else {
 		o.removed[e] = struct{}{}
+		insertAdj(o.remAdj, e.U, int32(e.V))
+		insertAdj(o.remAdj, e.V, int32(e.U))
 	}
 	o.bumpDeg(e.U, -1)
 	o.bumpDeg(e.V, -1)
 	o.m--
 	o.fp.xor(edgeHash(e))
-	o.mat = nil
 	return nil
 }
 
-// insertAdj places w into v's sorted inserted-neighbor list.
-func (o *Overlay) insertAdj(v int, w int32) {
-	a := o.addAdj[v]
+// insertAdj places w into v's sorted list in adj.
+func insertAdj(adj map[int][]int32, v int, w int32) {
+	a := adj[v]
 	i := sort.Search(len(a), func(i int) bool { return a[i] >= w })
 	a = append(a, 0)
 	copy(a[i+1:], a[i:])
 	a[i] = w
-	o.addAdj[v] = a
+	adj[v] = a
 }
 
-// removeAdj drops w from v's inserted-neighbor list.
-func (o *Overlay) removeAdj(v int, w int32) {
-	a := o.addAdj[v]
+// removeAdj drops w from v's sorted list in adj.
+func removeAdj(adj map[int][]int32, v int, w int32) {
+	a := adj[v]
 	i := sort.Search(len(a), func(i int) bool { return a[i] >= w })
-	o.addAdj[v] = append(a[:i], a[i+1:]...)
+	adj[v] = append(a[:i], a[i+1:]...)
 }
 
 // bumpDeg moves v between degree-histogram buckets and tracks Δ: the max
@@ -226,23 +228,34 @@ func (o *Overlay) bumpDeg(v, delta int) {
 
 // AppendNeighbors appends the current neighbors of v to buf in increasing
 // vertex order and returns the extended slice. It merges the base adjacency
-// (skipping deleted edges) with the inserted-neighbor list.
+// (skipping the removed-neighbor list, a sorted subsequence of it) with the
+// inserted-neighbor list.
 func (o *Overlay) AppendNeighbors(v int, buf []int32) []int32 {
+	return o.AppendNeighborsBelow(v, o.N(), buf)
+}
+
+// AppendNeighborsBelow is AppendNeighbors restricted to the neighbors w <
+// bound; the merge stops at the first neighbor at or above it.
+func (o *Overlay) AppendNeighborsBelow(v, bound int, buf []int32) []int32 {
 	baseNbrs := o.base.Neighbors(v)
-	add := o.addAdj[v]
-	i, j := 0, 0
+	add, rem := o.addAdj[v], o.remAdj[v]
+	i, j, k := 0, 0, 0
 	for i < len(baseNbrs) || j < len(add) {
 		var w int32
 		switch {
 		case j >= len(add) || (i < len(baseNbrs) && baseNbrs[i] < add[j]):
 			w = baseNbrs[i]
 			i++
-			if _, gone := o.removed[canonical(v, int(w))]; gone {
+			if k < len(rem) && rem[k] == w {
+				k++
 				continue
 			}
 		default:
 			w = add[j]
 			j++
+		}
+		if int(w) >= bound {
+			break
 		}
 		buf = append(buf, w)
 	}
@@ -250,12 +263,9 @@ func (o *Overlay) AppendNeighbors(v int, buf []int32) []int32 {
 }
 
 // Materialize builds the current graph as an immutable CSR Graph (default
-// identifiers). The result is memoized until the next mutation; compaction
-// and read-heavy callers therefore share one build.
+// identifiers), fresh on every call: it costs a sort of all m edges, so hot
+// paths read through AppendNeighbors instead.
 func (o *Overlay) Materialize() *Graph {
-	if o.mat != nil {
-		return o.mat
-	}
 	b := NewBuilder(o.N())
 	for _, e := range o.base.Edges() {
 		if _, gone := o.removed[e]; !gone {
@@ -265,8 +275,7 @@ func (o *Overlay) Materialize() *Graph {
 	for e := range o.added {
 		_ = b.AddEdge(e.U, e.V)
 	}
-	o.mat = b.Build()
-	return o.mat
+	return b.Build()
 }
 
 // Compact materializes the current graph, installs it as the new base, and
@@ -278,5 +287,6 @@ func (o *Overlay) Compact() *Graph {
 	o.added = make(map[Edge]struct{})
 	o.removed = make(map[Edge]struct{})
 	o.addAdj = make(map[int][]int32)
+	o.remAdj = make(map[int][]int32)
 	return g
 }

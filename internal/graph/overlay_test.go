@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -78,6 +79,15 @@ func TestOverlayAgainstMirror(t *testing.T) {
 				if got[i] != wantN[i] {
 					t.Fatalf("step %d: neighbors(%d) = %v, want %v", step, x, got, wantN)
 				}
+			}
+			bound := (7*x + step) % (base.N() + 1)
+			below := o.AppendNeighborsBelow(x, bound, nil)
+			k := 0
+			for k < len(got) && int(got[k]) < bound {
+				k++
+			}
+			if !slices.Equal(below, got[:k]) {
+				t.Fatalf("step %d: neighbors(%d) below %d = %v, want %v", step, x, bound, below, got[:k])
 			}
 		}
 		if o.Fingerprint() != want.EdgeSetFingerprint() {

@@ -136,6 +136,10 @@ func newSessionTable(capacity int) *sessionTable {
 	}
 }
 
+// errUnknownSession is sessionTable.get's answer for a name that is not
+// live and came without a base spec.
+var errUnknownSession = errors.New("unknown session")
+
 // get returns the named session, creating it (and evicting the coldest if
 // the table is full) when base is non-nil. Creation errors are surfaced
 // once and the slot is freed, mirroring graphCache.
@@ -145,7 +149,7 @@ func (st *sessionTable) get(name string, base *exp.GraphSpec, build func(exp.Gra
 	if !ok {
 		if base == nil {
 			st.mu.Unlock()
-			return nil, fmt.Errorf("service: unknown session %q and no base spec to create it", name)
+			return nil, fmt.Errorf("service: %w %q and no base spec to create it", errUnknownSession, name)
 		}
 		el = st.order.PushFront(&session{name: name, spec: *base})
 		st.entries[name] = el
@@ -249,10 +253,10 @@ func (st *sessionTable) snapshot() []SessionSnapshot {
 			snap.WALBytes = wlog.Size()
 		}
 		if mt != nil {
-			fp, n, m, _ := mt.Shape()
-			snap.N, snap.M = n, m
-			snap.Fingerprint = fp.String()
-			snap.Totals = mt.Stats()
+			sum := mt.Summary(false)
+			snap.N, snap.M = sum.N, sum.M
+			snap.Fingerprint = sum.Fingerprint.String()
+			snap.Totals = sum.Stats
 			snap.Engine = mt.Engine().String()
 		}
 		out = append(out, snap)
@@ -312,18 +316,21 @@ func (s *Service) mutate(req MutateRequest, detail bool) (*MutateResponse, Outco
 		ctr.errors.Add(1)
 		return nil, "", fmt.Errorf("service: mutate request needs a session name")
 	}
-	base := req.Base
-	if base == nil && s.cfg.WALDir != "" {
-		// No base spec, but the session may have a durable log from an
-		// earlier incarnation (or a restart): its header carries the spec,
-		// so the session is recoverable without the client resupplying it.
-		if hdr, ok := s.walHeader(req.Session); ok {
-			base = &hdr.Base
+	build := func(spec exp.GraphSpec) (*dynamic.Maintainer, *wal.Log, exp.GraphSpec, int, error) {
+		return s.buildMaintainer(req.Session, spec)
+	}
+	sess, err := s.sessions.get(req.Session, req.Base, build)
+	if errors.Is(err, errUnknownSession) && s.cfg.WALDir != "" {
+		// The session is not live and the client sent no base spec, but it
+		// may have a durable log from an earlier incarnation (eviction or a
+		// restart) whose header carries the spec. Only this branch, taken
+		// after the table said "not live", touches the log, and it reads
+		// just the header frame; building the session then proves the
+		// records. A live session's requests never read the log.
+		if hdr, herr := wal.ReadHeader(s.walPath(req.Session)); herr == nil {
+			sess, err = s.sessions.get(req.Session, &hdr.Base, build)
 		}
 	}
-	sess, err := s.sessions.get(req.Session, base, func(spec exp.GraphSpec) (*dynamic.Maintainer, *wal.Log, exp.GraphSpec, int, error) {
-		return s.buildMaintainer(req.Session, spec)
-	})
 	if err != nil {
 		ctr.errors.Add(1)
 		return nil, "", err
@@ -351,27 +358,27 @@ func (s *Service) mutate(req MutateRequest, detail bool) (*MutateResponse, Outco
 		}
 		return nil, "", err
 	}
-	totals := sess.mt.Stats()
+	// One atomic read: with two writers on the session, separate reads could
+	// pair one commit's fingerprint with another's shape or coloring.
+	sum := sess.mt.Summary(req.Colors || detail)
 	resp := &MutateResponse{
 		Session:     req.Session,
-		Fingerprint: sess.mt.Fingerprint().String(),
-		N:           sess.mt.N(),
-		M:           sess.mt.M(),
-		Delta:       sess.mt.MaxDegree(),
+		Fingerprint: sum.Fingerprint.String(),
+		N:           sum.N,
+		M:           sum.M,
+		Delta:       sum.Delta,
 		Applied:     applied,
 		Repair:      &rep,
-		Totals:      &totals,
+		Totals:      &sum.Stats,
 	}
-	if req.Colors {
-		resp.Colors = sess.mt.Colors()
-		resp.NumColors = graph.CountColors(resp.Colors)
-	}
-	if detail {
-		used := resp.NumColors
-		if !req.Colors {
-			used = graph.CountColors(sess.mt.Colors())
+	if sum.Colors != nil {
+		used := graph.CountColors(sum.Colors)
+		if req.Colors {
+			resp.Colors, resp.NumColors = sum.Colors, used
 		}
-		fillRepairDetail(resp, used)
+		if detail {
+			fillRepairDetail(resp, used)
+		}
 	}
 	return resp, Miss, nil
 }
@@ -393,19 +400,6 @@ func fillRepairDetail(resp *MutateResponse, colorsUsed int) {
 func (s *Service) walPath(name string) string {
 	sum := sha256.Sum256([]byte("colord-wal-name\x00" + name))
 	return filepath.Join(s.cfg.WALDir, hex.EncodeToString(sum[:16])+".wal")
-}
-
-// walHeader peeks at the named session's log header, if a log exists.
-func (s *Service) walHeader(name string) (wal.Header, bool) {
-	data, err := os.ReadFile(s.walPath(name))
-	if err != nil {
-		return wal.Header{}, false
-	}
-	hdr, _, _, err := wal.Scan(data)
-	if err != nil {
-		return wal.Header{}, false
-	}
-	return hdr, true
 }
 
 // buildMaintainer creates a session's maintainer from its base spec. The

@@ -188,14 +188,15 @@ func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	// The cursor was placed by subscribe, so the hello snapshot read here
 	// can only be at or ahead of it: no delta is lost in the handshake.
-	fp, n, m, delta, seq := mt.StreamState()
+	sum := mt.Summary(false)
+	seq := sum.Stats.Mutations
 	ev := HelloEvent{
 		Session:     name,
 		Seq:         seq,
-		Fingerprint: fp.String(),
-		N:           n,
-		M:           m,
-		Delta:       delta,
+		Fingerprint: sum.Fingerprint.String(),
+		N:           sum.N,
+		M:           sum.M,
+		Delta:       sum.Delta,
 	}
 	if from >= 0 {
 		switch {

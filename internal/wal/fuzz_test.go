@@ -13,7 +13,8 @@ import (
 // could only have read through a passing checksum with contiguous sequence
 // numbers. Damage resolves exactly one of two ways: a clean truncation point
 // (good <= len(data), and rescanning data[:good] reproduces the same records
-// with nothing further to drop) or ErrCorrupt.
+// with nothing further to drop) or ErrCorrupt. Whenever Scan accepts the
+// bytes, the header-only read agrees with it.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a healthy log and a few canonical damage shapes.
 	valid := validLog(8)
@@ -33,6 +34,9 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if good < 0 || good > int64(len(data)) {
 			t.Fatalf("truncation point %d outside [0, %d]", good, len(data))
+		}
+		if h, err := readHeader(bytes.NewReader(data)); err != nil || h != hdr {
+			t.Fatalf("readHeader = %+v, %v; Scan read header %+v", h, err, hdr)
 		}
 		// Every surviving record must have passed its checksum with
 		// contiguous seqs from 1 — the "never replay a corrupted record"

@@ -34,6 +34,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -160,6 +161,53 @@ func Open(path string, opts Options) (*Log, Header, []Record, error) {
 		l.lastSeq.Store(recs[n-1].Seq)
 	}
 	return l, hdr, recs, nil
+}
+
+// ReadHeader reads only a log's header record — the first frame, bounded by
+// maxRecord and checked exactly as Scan checks it — without touching the
+// mutation records behind it. It is the cheap way to learn which session a
+// log belongs to before deciding to Open it; Open still proves every record.
+// A torn or damaged header is ErrCorrupt; whenever Scan accepts a log image,
+// ReadHeader returns the same header.
+func ReadHeader(path string) (Header, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Header{}, err
+	}
+	defer f.Close()
+	return readHeader(f)
+}
+
+// readHeader is ReadHeader over any reader: it reads the length prefix, then
+// exactly the rest of the first frame.
+func readHeader(r io.Reader) (Header, error) {
+	var prefix [binary.MaxVarintLen64]byte
+	k, err := io.ReadFull(r, prefix[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return Header{}, err
+	}
+	frame := prefix[:k]
+	if n, w := uvarint(frame); w > 0 && n <= maxRecord && w+int(n)+4 > k {
+		frame = make([]byte, w+int(n)+4)
+		copy(frame, prefix[:k])
+		got, err := io.ReadFull(r, frame[k:])
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return Header{}, err
+		}
+		frame = frame[:k+got]
+	}
+	payload, _, st := readFrame(frame, 0)
+	switch st {
+	case frameTorn:
+		return Header{}, fmt.Errorf("%w: no header record", ErrCorrupt)
+	case frameCorrupt:
+		return Header{}, fmt.Errorf("%w: record at offset 0", ErrCorrupt)
+	}
+	hdr, err := decodeHeader(payload)
+	if err != nil {
+		return Header{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return hdr, nil
 }
 
 // Scan parses a log image: the in-memory core of Open, exported so recovery

@@ -297,3 +297,59 @@ func TestFingerprintRoundTrip(t *testing.T) {
 		t.Fatalf("round trip = %+v, want %+v", got, rec)
 	}
 }
+
+// TestReadHeader reads just the header frame of healthy and damaged logs:
+// a header-only log and a full log yield the header; a torn or corrupt
+// header is ErrCorrupt — even when the records after it are intact — and a
+// missing file is the open error.
+func TestReadHeader(t *testing.T) {
+	full, err := os.ReadFile(writeLog(t, 5, Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hEnd := headerLen(t, full)
+	corrupt := bytes.Clone(full)
+	corrupt[hEnd/2] ^= 0x20 // inside the header payload, records follow
+	corruptOnly := bytes.Clone(full[:hEnd])
+	corruptOnly[hEnd/2] ^= 0x20 // the header is the final frame
+	cases := []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"full log", full, true},
+		{"header only", full[:hEnd], true},
+		{"header plus torn record", full[:hEnd+3], true},
+		{"empty", nil, false},
+		{"torn length prefix", []byte{0x80}, false},
+		{"torn header", full[:hEnd-1], false},
+		{"corrupt header", corrupt, false},
+		{"corrupt header-only log", corruptOnly, false},
+		{"oversized length", []byte{0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0}, false},
+		{"mutation first", frameRecord(encodeMutation(testRecord(1))), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := filepath.Join(t.TempDir(), "h.wal")
+			if err := os.WriteFile(p, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			hdr, err := ReadHeader(p)
+			if !tc.ok {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("ReadHeader: err = %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ReadHeader: %v", err)
+			}
+			if hdr != testHeader() {
+				t.Fatalf("header = %+v, want %+v", hdr, testHeader())
+			}
+		})
+	}
+	if _, err := ReadHeader(filepath.Join(t.TempDir(), "absent.wal")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("ReadHeader of a missing log: err = %v, want ErrNotExist", err)
+	}
+}

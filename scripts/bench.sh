@@ -11,7 +11,9 @@
 # compiled hot-path speedup — side by side. BenchmarkMissShapes (root
 # package) adds one row per colord cache-miss shape: algreg-resolved
 # algorithms on a warm dist.Pool under the Compiled engine, with exact
-# rounds and msgBytes.
+# rounds and msgBytes. BenchmarkDurableMutate/log={1k,32k} is one 16-op
+# mutate batch on a live WAL-backed colord session whose log holds 1k or
+# 32k records; the two rows agree because requests never read the log.
 #
 # Usage:
 #   scripts/bench.sh                 # full run, writes BENCH_runtime.json
