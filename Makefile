@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt cover bench bench-smoke bench-service bench-service-smoke bench-check \
+.PHONY: build test race vet perfbench-vet fmt cover bench bench-smoke bench-service bench-service-smoke bench-check \
 	bench-runtime-check bench-cluster-smoke perfbench perfbench-trace fuzz-smoke fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader \
 	fuzz-dist-compiled fuzz-wal
 
@@ -22,6 +22,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is its own Go module, so the root ./... never compiles it; vet
+# it separately so an API change cannot silently break the benchmark. CI runs
+# this.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 fmt:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }

@@ -24,11 +24,12 @@
 //	loadgen -d 5s -mode churn -clients 8 -mix small -batch 16
 //	loadgen -addr http://localhost:7080 -mix medium -seeds 32
 //
-// Color mode drives the server through a raw persistent-connection HTTP/1.1
-// client by default (-driver raw): net/http's per-request overhead costs
-// more than colord's entire hit path, so the standard client (-driver std)
-// measures itself, not the server. -cpuprofile captures a client+server
-// profile of the measurement window when the server runs in-process.
+// Color mode times the server through a raw persistent-connection HTTP/1.1
+// client: net/http's per-request overhead costs more than colord's entire
+// hit path, so a net/http client would measure itself, not the server (the
+// untimed warmup and palette probe still use net/http). -cpuprofile captures
+// a client+server profile of the measurement window when the server runs
+// in-process.
 //
 // With -bench the report is emitted in `go test -bench` format — including
 // process-wide B/op and allocs/op from runtime.MemStats deltas (client and
@@ -290,7 +291,6 @@ func run(args []string) error {
 		warmup   = fs.Bool("warmup", true, "untimed cache-priming pass over the workload before the measured window (color mode)")
 		engine   = fs.String("engine", "", "request-level engine override (empty = server default; color mode)")
 		workers  = fs.Int("workers", 0, "in-process server workers (0 = GOMAXPROCS)")
-		driver   = fs.String("driver", "raw", "HTTP client driver: raw (persistent-connection wire client) or std (net/http); color mode")
 		profile  = fs.String("cpuprofile", "", "write a CPU profile of the measurement window to this file")
 		bench    = fs.Bool("bench", false, "emit the report in `go test -bench` format (includes B/op and allocs/op)")
 		nodes    = fs.Int("cluster", 0, "start an in-process N-node colord cluster behind a colorgate and drive it through the gateway (0 = single node; incompatible with -addr)")
@@ -313,9 +313,6 @@ func run(args []string) error {
 	}
 	if *clients < 1 || *seeds < 1 || *duration <= 0 || *batch < 1 {
 		return fmt.Errorf("need -clients >= 1, -seeds >= 1, -batch >= 1, -duration > 0 (got %d, %d, %d, %v)", *clients, *seeds, *batch, *duration)
-	}
-	if *driver != "raw" && *driver != "std" {
-		return fmt.Errorf("unknown driver %q (want raw or std)", *driver)
 	}
 	if *mode == "churn" {
 		return runChurn(*addr, *duration, *clients, *mixName, *batch, *workers, *nodes, *profile, *bench)
@@ -363,14 +360,11 @@ func run(args []string) error {
 	url := base + "/v1/color"
 	hostPort := strings.TrimPrefix(base, "http://")
 
-	// Raw driver: the full wire form of every request is prebuilt, so the
-	// send path is one Write per request.
-	var wires [][]byte
-	if *driver == "raw" {
-		wires = make([][]byte, len(workload))
-		for i, body := range workload {
-			wires[i] = formatRawRequest(hostPort, "/v1/color", body)
-		}
+	// The full wire form of every request is prebuilt, so the timed send
+	// path is one Write per request.
+	wires := make([][]byte, len(workload))
+	for i, body := range workload {
+		wires[i] = formatRawRequest(hostPort, "/v1/color", body)
 	}
 	transport := &http.Transport{MaxIdleConnsPerHost: *clients}
 	client := &http.Client{Transport: transport}
@@ -427,59 +421,30 @@ func run(args []string) error {
 		go func(c int) {
 			defer wg.Done()
 			res := &results[c]
-			var rc *rawClient
-			if *driver == "raw" {
-				rc = newRawClient(hostPort)
-				defer rc.close()
-			}
+			rc := newRawClient(hostPort)
+			defer rc.close()
 			// Stagger starting offsets so clients collide on different
 			// keys early (driving coalescing) and spread later.
 			i := (c * 31) % len(workload)
 			for time.Now().Before(deadline) {
 				idx := i % len(workload)
 				i++
-				if rc != nil {
-					start := time.Now()
-					r, err := rc.do(wires[idx])
-					if err != nil {
-						res.errors++
-						continue
-					}
-					res.requests++
-					res.latencies = append(res.latencies, time.Since(start))
-					if r.status != http.StatusOK {
-						res.errors++
-						continue
-					}
-					switch r.outcome {
-					case 'h':
-						res.hits++
-					case 'c':
-						res.coalesced++
-					default:
-						res.misses++
-					}
-					continue
-				}
 				start := time.Now()
-				resp, err := client.Post(url, "application/json", bytes.NewReader(workload[idx]))
+				r, err := rc.do(wires[idx])
 				if err != nil {
 					res.errors++
 					continue
 				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				lat := time.Since(start)
 				res.requests++
-				res.latencies = append(res.latencies, lat)
-				if resp.StatusCode != http.StatusOK {
+				res.latencies = append(res.latencies, time.Since(start))
+				if r.status != http.StatusOK {
 					res.errors++
 					continue
 				}
-				switch resp.Header.Get("X-Colord-Cache") {
-				case "hit":
+				switch r.outcome {
+				case 'h':
 					res.hits++
-				case "coalesced":
+				case 'c':
 					res.coalesced++
 				default:
 					res.misses++
@@ -557,7 +522,7 @@ func run(args []string) error {
 			rps, hitRate, float64(total.coalesced)/float64(total.requests), meanColors)
 		return nil
 	}
-	fmt.Printf("mix=%s clients=%d seeds=%d duration=%v driver=%s\n", *mixName, *clients, *seeds, *duration, *driver)
+	fmt.Printf("mix=%s clients=%d seeds=%d duration=%v\n", *mixName, *clients, *seeds, *duration)
 	fmt.Printf("requests: %d (%.1f req/s), errors: %d\n", total.requests, rps, total.errors)
 	fmt.Printf("latency: avg=%v p50=%v p99=%v max=%v\n", avg, pct(0.50), pct(0.99), total.latencies[len(total.latencies)-1])
 	fmt.Printf("alloc: %d B/op, %d allocs/op (process-wide: clients plus the in-process server)\n", bytesPerOp, allocsPerOp)

@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -17,16 +16,6 @@ import (
 type Config struct {
 	// Engine is the dist scheduler repair runs execute on.
 	Engine dist.Engine
-	// Shards pins the shard count of Sharded runs (0 = GOMAXPROCS).
-	Shards int
-	// Runners caps each pooled runner set (<= 0 means 2). Repair subgraphs
-	// recur under churn — hotspot streams especially — so runners are pooled
-	// per subgraph fingerprint.
-	Runners int
-	// PoolEntries bounds the LRU of runner pools keyed by repair-subgraph
-	// fingerprint (<= 0 means 16). The full graph's pool for canonical
-	// recomputes lives in the same LRU.
-	PoolEntries int
 	// CompactPending is the churn-layer size that triggers compaction back
 	// to CSR: 0 means the adaptive default max(64, m/4); < 0 disables
 	// auto-compaction (Compact can still be called explicitly).
@@ -137,7 +126,6 @@ type Maintainer struct {
 	cfg    Config
 	ov     *graph.Overlay
 	colors map[edgeKey]int
-	pools  *poolLRU
 	stats  Stats
 	closed bool
 
@@ -159,12 +147,6 @@ type Maintainer struct {
 // identifiers) and computes the initial canonical coloring with a
 // distributed full run.
 func New(base *graph.Graph, cfg Config) (*Maintainer, error) {
-	if cfg.Runners <= 0 {
-		cfg.Runners = 2
-	}
-	if cfg.PoolEntries <= 0 {
-		cfg.PoolEntries = 16
-	}
 	ov, err := graph.NewOverlay(base)
 	if err != nil {
 		return nil, err
@@ -173,20 +155,17 @@ func New(base *graph.Graph, cfg Config) (*Maintainer, error) {
 		cfg:    cfg,
 		ov:     ov,
 		colors: make(map[edgeKey]int, base.M()),
-		pools:  newPoolLRU(cfg.PoolEntries, cfg.Runners),
 	}
 	if err := m.recolorAll(base); err != nil {
-		m.pools.close()
 		return nil, err
 	}
 	return m, nil
 }
 
 // recolorAll replaces the whole coloring with the canonical coloring of g,
-// computed distributedly on g's pooled runners. Caller holds mu (or is New).
+// computed by one distributed full run. Caller holds mu (or is New).
 func (m *Maintainer) recolorAll(g *graph.Graph) error {
-	pool := m.pools.get(g)
-	colors, stats, err := CanonicalRun(g, pool.RunAlgo, m.opts()...)
+	colors, stats, err := CanonicalRun(g, dist.WithEngine(m.cfg.Engine))
 	if err != nil {
 		return err
 	}
@@ -197,10 +176,6 @@ func (m *Maintainer) recolorAll(g *graph.Graph) error {
 	m.stats.FullRuns++
 	m.stats.FullActivations += int64(stats.Activations)
 	return nil
-}
-
-func (m *Maintainer) opts() []dist.Option {
-	return []dist.Option{dist.WithEngine(m.cfg.Engine), dist.WithShards(m.cfg.Shards)}
 }
 
 // Insert adds the edge (u, v) and repairs the coloring. The returned Report
@@ -222,7 +197,6 @@ func (m *Maintainer) Insert(u, v int) (Report, error) {
 		// The overlay mutated but the coloring did not: serving it would
 		// violate the contract, so the maintainer poisons itself.
 		m.closed = true
-		m.pools.close()
 		return rep, err
 	}
 	m.maybeCompact()
@@ -253,7 +227,6 @@ func (m *Maintainer) Delete(u, v int) (Report, error) {
 	rep, changed, err := m.repair(m.seeds)
 	if err != nil {
 		m.closed = true // see Insert: a failed repair poisons the maintainer
-		m.pools.close()
 		return rep, err
 	}
 	m.maybeCompact()
@@ -332,8 +305,7 @@ func (m *Maintainer) repair(seeds []graph.Edge) (Report, []ChangedColor, error) 
 		return Report{}, nil, nil
 	}
 	sub, origVerts, forbidden, boundary := m.repairSubgraph(staged)
-	pool := m.pools.get(sub)
-	res, err := pool.RunAlgo(repairBundle(sub, forbidden), m.opts()...)
+	res, err := dist.RunAlgo(sub, repairBundle(sub, forbidden), dist.WithEngine(m.cfg.Engine))
 	if err != nil {
 		return Report{}, nil, err
 	}
@@ -682,15 +654,11 @@ func (m *Maintainer) Stats() Stats {
 	return m.stats
 }
 
-// Close releases the pooled runners. Further mutations fail.
+// Close marks the maintainer closed. Further mutations fail.
 func (m *Maintainer) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return
-	}
 	m.closed = true
-	m.pools.close()
 }
 
 // staging is discovery's result: the dirty edges in lexicographic order
@@ -818,58 +786,4 @@ func (h *edgeHeap) pop() graph.Edge {
 		h.es[i], h.es[small] = h.es[small], h.es[i]
 		i = small
 	}
-}
-
-// poolLRU is a bounded LRU of dist runner pools keyed by graph fingerprint:
-// repair regions recur under churn (hotspot streams re-touch the same
-// neighborhoods), so their runners are worth keeping warm. Eviction closes
-// the pool.
-type poolLRU struct {
-	cap     int
-	runners int
-	order   *list.List
-	entries map[graph.Fingerprint]*list.Element
-}
-
-type poolEntry struct {
-	fp   graph.Fingerprint
-	pool *dist.Pool[[]int]
-}
-
-func newPoolLRU(capacity, runners int) *poolLRU {
-	return &poolLRU{
-		cap:     capacity,
-		runners: runners,
-		order:   list.New(),
-		entries: make(map[graph.Fingerprint]*list.Element, capacity),
-	}
-}
-
-// get returns the pool for g, building one on first use. Two graphs with
-// equal fingerprints are identical, so runners built against the earlier
-// instance execute the later one correctly.
-func (l *poolLRU) get(g *graph.Graph) *dist.Pool[[]int] {
-	fp := g.Fingerprint()
-	if el, ok := l.entries[fp]; ok {
-		l.order.MoveToFront(el)
-		return el.Value.(*poolEntry).pool
-	}
-	ent := &poolEntry{fp: fp, pool: dist.NewPool[[]int](g, l.runners)}
-	l.entries[fp] = l.order.PushFront(ent)
-	for l.order.Len() > l.cap {
-		last := l.order.Back()
-		old := last.Value.(*poolEntry)
-		l.order.Remove(last)
-		delete(l.entries, old.fp)
-		old.pool.Close()
-	}
-	return ent.pool
-}
-
-func (l *poolLRU) close() {
-	for el := l.order.Front(); el != nil; el = el.Next() {
-		el.Value.(*poolEntry).pool.Close()
-	}
-	l.order.Init()
-	l.entries = make(map[graph.Fingerprint]*list.Element)
 }

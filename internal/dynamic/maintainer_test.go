@@ -2,7 +2,9 @@ package dynamic
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/exp"
@@ -93,7 +95,7 @@ func TestRepairScopeBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	_, fullStats, err := CanonicalRun(g, nil, dist.WithEngine(dist.Sharded))
+	_, fullStats, err := CanonicalRun(g, dist.WithEngine(dist.Sharded))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,41 +225,35 @@ func TestMaintainerErrors(t *testing.T) {
 	}
 }
 
-// TestRepairPoolReuse: structurally identical repair regions recur under
-// churn that re-touches the same neighborhood, and the fingerprint-keyed
-// runner-pool LRU must reuse their runners instead of rebuilding.
-func TestRepairPoolReuse(t *testing.T) {
-	g := graph.GNM(200, 400, 17)
-	m, err := New(g, Config{})
+// TestMaintainerHoldsNoParkedGoroutines: a maintainer keeps no runners
+// between mutations. Under the goroutine engine every repair runs its vertex
+// goroutines to completion, so after a stream of mutations — and before Close
+// — the goroutine count is back to where it was before New.
+func TestMaintainerHoldsNoParkedGoroutines(t *testing.T) {
+	s := exp.MutationStream{Kind: "mix", Base: exp.GraphSpec{Family: "gnm", N: 64, M: 160, Seed: 5}, Ops: 50, Seed: 3}
+	base, muts, err := s.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	m, err := New(base, Config{Engine: dist.Goroutines})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	// Toggling one lexicographically late edge repeatedly produces the same
-	// single-edge repair subgraph every time (deletes of a last edge are
-	// free, inserts repair exactly it).
-	u, v := 198, 199
-	if m.Graph().HasEdge(u, v) {
-		if _, err := m.Delete(u, v); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := m.Apply(muts); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		if _, err := m.Insert(u, v); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Delete(u, v); err != nil {
-			t.Fatal(err)
-		}
+	if st := m.Stats(); st.Repairs == 0 {
+		t.Fatal("no repair ran; the stream exercises nothing")
 	}
-	reused := false
-	for el := m.pools.order.Front(); el != nil; el = el.Next() {
-		if st := el.Value.(*poolEntry).pool.Stats(); st.Reuses > 0 {
-			reused = true
-		}
+	// Finished runs' goroutines may still be returning; give them a moment.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
 	}
-	if !reused {
-		t.Fatal("no runner pool reuse across identical repair regions")
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines alive after %d mutations, %d before New", n, len(muts), before)
 	}
 }
 

@@ -67,7 +67,6 @@ func (s *Service) resolve(req Request) (*canonReq, error) {
 		opts: []dist.Option{
 			dist.WithSeed(req.Seed),
 			dist.WithEngine(engine),
-			dist.WithShards(req.Shards),
 		},
 	}
 	if req.Kind == "edge" {

@@ -74,7 +74,7 @@ type MutateResponse struct {
 }
 
 // sessionTable is the bounded LRU of live dynamic sessions. Eviction closes
-// the evicted maintainer — its runner pools and its state.
+// the evicted maintainer and drops its state.
 type sessionTable struct {
 	mu      sync.Mutex
 	cap     int

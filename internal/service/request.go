@@ -17,10 +17,10 @@ import (
 // spec transmits the graph in a few bytes), runs the selected algorithm, and
 // returns the coloring.
 //
-// Engine and Shards are execution hints only: every engine produces
-// byte-identical outputs (the dist contract), so they are excluded from the
-// cache key — a request served from a sharded run is a cache hit for the
-// same request asking for lockstep.
+// Engine is an execution hint only: every engine produces byte-identical
+// outputs (the dist contract), so it is excluded from the cache key — a
+// request served from a sharded run is a cache hit for the same request
+// asking for lockstep.
 type Request struct {
 	// Kind is "edge" or "vertex".
 	Kind string `json:"kind"`
@@ -53,9 +53,6 @@ type Request struct {
 	// "goroutines", "lockstep", "sharded", or "compiled". Not part of the
 	// cache key — every engine produces byte-identical results.
 	Engine string `json:"engine,omitempty"`
-	// Shards optionally pins the shard count of a sharded run. Not part of
-	// the cache key.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Stats mirrors dist.Stats in the response body.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -452,5 +453,36 @@ func TestBadRequestAccounting(t *testing.T) {
 	}
 	if got := s.Stats().BadRequests; got != 3 {
 		t.Fatalf("badRequests %d after mutate garbage, want 3", got)
+	}
+}
+
+// TestShardsFieldRejected: the request carries no shard-count knob, so a body
+// naming one is an unknown field — a bad request (HTTP 400), counted in
+// badRequests and never in requests.
+func TestShardsFieldRejected(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	body := `{"kind":"edge","alg":"be","graph":{"family":"gnm","n":16,"m":30,"seed":1},"engine":"sharded","shards":2}`
+	_, _, _, err := s.HandleRaw([]byte(body))
+	var bad *badRequestError
+	if !errors.As(err, &bad) {
+		t.Fatalf("HandleRaw with shards: err = %v, want a badRequestError", err)
+	}
+	if st := s.Stats(); st.BadRequests != 1 || st.Requests != 0 {
+		t.Fatalf("badRequests %d, requests %d; want 1 and 0", st.BadRequests, st.Requests)
+	}
+
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/color", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if got := s.Stats().BadRequests; got != 2 {
+		t.Fatalf("badRequests %d after the HTTP request, want 2", got)
 	}
 }
