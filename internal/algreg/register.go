@@ -46,11 +46,11 @@ func init() {
 			if err != nil {
 				return dist.Algo[[]int]{}, 0, err
 			}
-			algo, err := edgecolor.LegalEdgeProcess(g.MaxDegree(), pl, msgMode(p.Mode))
+			algo, err := edgecolor.LegalEdgeAlgo(g.MaxDegree(), pl, msgMode(p.Mode))
 			if err != nil {
 				return dist.Algo[[]int]{}, 0, err
 			}
-			return dist.Interpret(algo), pl.TotalPalette(), nil
+			return algo, pl.TotalPalette(), nil
 		},
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
 			pl, err := core.AutoPlan(g.MaxDegree(), 2, p.B, p.P, true)
@@ -68,9 +68,7 @@ func init() {
 		Canon:   zeroPlan,
 		BuildEdge: func(g *graph.Graph, p Params) (dist.Algo[[]int], int, error) {
 			delta := g.MaxDegree()
-			return dist.Interpret(func(v dist.Process) []int {
-				return panconesi.EdgeColorStep(v, nil, delta)
-			}), 2*delta - 1, nil
+			return panconesi.Algo(delta), 2*delta - 1, nil
 		},
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
 			res, err := panconesi.EdgeColoring(g, opts...)

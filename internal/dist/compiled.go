@@ -177,11 +177,12 @@ func runCompiled[T any](g *graph.Graph, ca CompiledAlgo[T], cfg config) (*Result
 // scheduler by construction: the same user code runs against the same
 // delivery, accounting, and abort semantics.
 //
-// It is the compiled form of choice for blocking-style pipelines (the §5
-// legal edge coloring, say) where hand-flattening the control flow would
-// duplicate the algorithm; hand-written flat passes (package baseline,
-// package dynamic) remain worthwhile where the round structure is simple
-// enough to close over.
+// It is the compiled form of choice for blocking-style pipelines (the
+// vertex Legal-Color, or the defective levels of the §5 edge variant ahead
+// of its flat leaf) where hand-flattening the control flow would duplicate
+// the algorithm; hand-written flat passes (packages baseline, dynamic,
+// panconesi, fewcolors) pay off where the round structure is simple enough
+// to close over and the code runs on every service miss.
 func CompileProcess[T any](f func(Process) T) CompiledAlgo[T] {
 	return procInterp[T]{f: f}
 }

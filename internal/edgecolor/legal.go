@@ -21,17 +21,15 @@ import (
 // parallel with disjoint palettes. Returns per-vertex port colorings (merge
 // with graph.MergePortColors).
 func LegalEdgeColoring(g *graph.Graph, pl *core.Plan, mode MsgMode, opts ...dist.Option) (*dist.Result[[]int], error) {
-	algo, err := LegalEdgeProcess(g.MaxDegree(), pl, mode)
+	algo, err := LegalEdgeAlgo(g.MaxDegree(), pl, mode)
 	if err != nil {
 		return nil, err
 	}
-	return dist.Run(g, algo, opts...)
+	return dist.RunAlgo(g, algo, opts...)
 }
 
 // LegalEdgeProcess returns the per-vertex body of LegalEdgeColoring for a
-// graph of maximum degree delta, validated against the plan. Callers that
-// execute on a reusable dist.Runner or dist.Pool (the coloring service) use
-// it to get the exact algorithm LegalEdgeColoring would run.
+// graph of maximum degree delta, validated against the plan.
 func LegalEdgeProcess(delta int, pl *core.Plan, mode MsgMode) (func(dist.Process) []int, error) {
 	if !pl.Edge {
 		return nil, fmt.Errorf("edgecolor: vertex-mode plan passed to LegalEdgeProcess")
@@ -44,6 +42,75 @@ func LegalEdgeProcess(delta int, pl *core.Plan, mode MsgMode) (func(dist.Process
 	}, nil
 }
 
+// LegalEdgeAlgo bundles LegalEdgeProcess with its compiled form: the
+// pl.Depth() defective levels interpreted (dist.CompileProcess), then the
+// Panconesi–Rizzi leaf as flat passes (panconesi.FlatLeaf) continuing the
+// same Tally. A depth-0 plan interprets nothing. Callers that execute on a
+// reusable dist.Runner or dist.Pool (the coloring service) use it to get
+// the exact algorithm LegalEdgeColoring runs.
+func LegalEdgeAlgo(delta int, pl *core.Plan, mode MsgMode) (dist.Algo[[]int], error) {
+	vertex, err := LegalEdgeProcess(delta, pl, mode)
+	if err != nil {
+		return dist.Algo[[]int]{}, err
+	}
+	return dist.Algo[[]int]{Vertex: vertex, Compiled: legalEdgeFlat{vertex: vertex, pl: pl, mode: mode}}, nil
+}
+
+type legalEdgeFlat struct {
+	vertex func(dist.Process) []int
+	pl     *core.Plan
+	mode   MsgMode
+}
+
+func (a legalEdgeFlat) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out [][]int) (dist.Stats, error) {
+	slots := g.Offsets()[g.N()]
+	// Per slot: the leaf class (1-based, 0 = excluded) and palette offset;
+	// nil at depth 0, where every edge is in class 1 at offset 0.
+	var classOf, offsets []int
+	t := env.NewTally()
+	if a.pl.Depth() > 0 {
+		classOf, offsets = make([]int, slots), make([]int, slots)
+		levels := make([]edgeLevels, g.N())
+		stats, err := dist.CompileProcess(func(v dist.Process) edgeLevels {
+			return legalEdgeLevels(v, a.pl, a.mode, nil)
+		}).RunCompiled(g, env, levels)
+		if err != nil {
+			return stats, err
+		}
+		t.Stats = stats
+		for v, lv := range levels {
+			base := int(g.Offsets()[v])
+			for p, c := range lv.classIdx {
+				classOf[base+p] = c + 1
+				offsets[base+p] = lv.offsets[p]
+			}
+		}
+	}
+	leaf := panconesi.NewFlatLeaf(g, classOf, a.pl.LeafBound())
+	if leaf == nil {
+		return dist.CompileProcess(a.vertex).RunCompiled(g, env, out)
+	}
+	colors := make([]int, slots)
+	if err := leaf.Run(t, colors); err != nil {
+		return t.Stats, err
+	}
+	for s, c := range offsets {
+		if classOf[s] != 0 {
+			colors[s] += c
+		}
+	}
+	graph.PortSlices(g, colors, out)
+	return t.Stats, nil
+}
+
+// edgeLevels is one vertex's state after the defective levels: per port,
+// the edge's recursion path in base p prefixed by its initial class (-1 on
+// excluded ports), and its palette offset.
+type edgeLevels struct {
+	classIdx []int
+	offsets  []int
+}
+
 // legalEdgeVertex is the per-vertex body of the edge Legal-Color. initClass
 // optionally pre-partitions the edges (per port, 0-based class, -1 =
 // excluded; nil = all edges in class 0): the §6 extensions use it to run the
@@ -51,6 +118,27 @@ func LegalEdgeProcess(delta int, pl *core.Plan, mode MsgMode) (func(dist.Process
 // its own disjoint palette of size pl.TotalPalette(). Returns per-port
 // colors (0 on excluded ports).
 func legalEdgeVertex(v dist.Process, pl *core.Plan, mode MsgMode, initClass []int) []int {
+	lv := legalEdgeLevels(v, pl, mode, initClass)
+	// Leaf: multi-class Panconesi–Rizzi with degree bound Λ⁽ʳ⁾.
+	classOf := make([]int, v.Deg())
+	for port := range classOf {
+		if lv.classIdx[port] >= 0 {
+			classOf[port] = lv.classIdx[port] + 1
+		}
+	}
+	leaf := panconesi.EdgeColorMulti(v, classOf, pl.LeafBound())
+	colors := make([]int, v.Deg())
+	for port := range colors {
+		if lv.classIdx[port] >= 0 {
+			colors[port] = lv.offsets[port] + leaf[port]
+		}
+	}
+	return colors
+}
+
+// legalEdgeLevels runs the pl.Depth() defective levels of legalEdgeVertex:
+// level i runs the edge Defective-Color on all label classes at once.
+func legalEdgeLevels(v dist.Process, pl *core.Plan, mode MsgMode, initClass []int) edgeLevels {
 	deg := v.Deg()
 	// classIdx[port] encodes the edge's recursion path in base p (0-based),
 	// prefixed by its initial class; -1 marks excluded ports.
@@ -64,8 +152,7 @@ func legalEdgeVertex(v dist.Process, pl *core.Plan, mode MsgMode, initClass []in
 			}
 		}
 	}
-	r := pl.Depth()
-	for level := 0; level < r; level++ {
+	for level := 0; level < pl.Depth(); level++ {
 		classOf := make([]int, deg)
 		for port := range classOf {
 			if classIdx[port] >= 0 {
@@ -81,21 +168,7 @@ func legalEdgeVertex(v dist.Process, pl *core.Plan, mode MsgMode, initClass []in
 			offsets[port] += (psis[port] - 1) * pl.Thetas[level+1]
 		}
 	}
-	// Leaf: multi-class Panconesi–Rizzi with degree bound Λ⁽ʳ⁾.
-	classOf := make([]int, deg)
-	for port := range classOf {
-		if classIdx[port] >= 0 {
-			classOf[port] = classIdx[port] + 1
-		}
-	}
-	leaf := panconesi.EdgeColorMulti(v, classOf, pl.LeafBound())
-	colors := make([]int, deg)
-	for port := range colors {
-		if classIdx[port] >= 0 {
-			colors[port] = offsets[port] + leaf[port]
-		}
-	}
-	return colors
+	return edgeLevels{classIdx: classIdx, offsets: offsets}
 }
 
 // Rounds returns the exact round cost of LegalEdgeColoring for an n-vertex

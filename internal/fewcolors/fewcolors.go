@@ -59,10 +59,10 @@ func Process() func(dist.Process) []int {
 	return vertex
 }
 
-// Algo bundles Process with its generic compiled form, runnable on all four
-// engines including the service's flat-array hot path.
+// Algo bundles Process with its flat compiled form (see flat), runnable on
+// all four engines including the service's flat-array hot path.
 func Algo() dist.Algo[[]int] {
-	return dist.Interpret(vertex)
+	return dist.Algo[[]int]{Vertex: vertex, Compiled: flat{}}
 }
 
 func vertex(v dist.Process) []int {

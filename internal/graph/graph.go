@@ -187,6 +187,22 @@ func (g *Graph) IncidentEdgeIDs(v int) []int32 { return g.eids[g.off[v]:g.off[v+
 // The returned slice must not be modified.
 func (g *Graph) ReversePorts(v int) []int32 { return g.rev[g.off[v]:g.off[v+1]] }
 
+// Offsets returns the CSR offset table: vertex v owns the flat adjacency
+// slots Offsets()[v]..Offsets()[v+1], port p of v being slot
+// Offsets()[v]+p. Whole-graph passes (compiled algorithm forms) index
+// per-port state by slot. The returned slice must not be modified.
+func (g *Graph) Offsets() []int32 { return g.off }
+
+// PortSlices points out[v] at vertex v's slots of the per-slot array xs
+// (see Offsets), capacity-capped so an append to one vertex's slice never
+// writes into the next one's.
+func PortSlices[T any](g *Graph, xs []T, out [][]T) {
+	for v := range out {
+		lo, hi := g.off[v], g.off[v+1]
+		out[v] = xs[lo:hi:hi]
+	}
+}
+
 // Edges returns the canonical edge list; edges[id] has U < V.
 // The returned slice must not be modified.
 func (g *Graph) Edges() []Edge { return g.edges }

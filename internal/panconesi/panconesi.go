@@ -290,8 +290,5 @@ func firstFree(used, childUsed []uint64, maxColor int) int {
 // per-vertex port colorings (merge with graph.MergePortColors). The palette
 // is {1..2Δ−1} and the round cost is O(Δ) + O(log* n).
 func EdgeColoring(g *graph.Graph, opts ...dist.Option) (*dist.Result[[]int], error) {
-	degBound := g.MaxDegree()
-	return dist.Run(g, func(v dist.Process) []int {
-		return EdgeColorStep(v, nil, degBound)
-	}, opts...)
+	return dist.RunAlgo(g, Algo(g.MaxDegree()), opts...)
 }

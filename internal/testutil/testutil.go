@@ -1,6 +1,6 @@
-// Package testutil holds the helpers behind the end-to-end CLI golden
-// tests: stdout capture for in-process main-wrapper invocations, and golden
-// file comparison with an -update flag.
+// Package testutil holds shared test helpers: stdout capture and golden
+// file comparison (with an -update flag) behind the end-to-end CLI golden
+// tests, and the graph zoo the compiled algorithm forms are swept over.
 package testutil
 
 import (
