@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 
 .PHONY: build test race vet perfbench-vet fmt cover bench bench-smoke bench-service bench-service-smoke bench-check \
 	bench-runtime-check bench-cluster-smoke perfbench perfbench-trace fuzz-smoke fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader \
-	fuzz-dist-compiled fuzz-wal fuzz-panconesi-flat
+	fuzz-dist-compiled fuzz-wal fuzz-panconesi-flat fuzz-legal-flat
 
 build:
 	$(GO) build ./...
@@ -96,9 +96,11 @@ fuzz-wal:
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/wal/
 fuzz-panconesi-flat:
 	$(GO) test -fuzz FuzzFlatLeafAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/panconesi/
+fuzz-legal-flat:
+	$(GO) test -fuzz FuzzFlatLegalAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/core/
 
 # Short fuzz pass over all targets.
-fuzz-smoke: fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader fuzz-dist-compiled fuzz-wal fuzz-panconesi-flat
+fuzz-smoke: fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader fuzz-dist-compiled fuzz-wal fuzz-panconesi-flat fuzz-legal-flat
 
 # Real-binary 3-node cluster smoke: colord x3 + colorgate over loopback,
 # byte-stability, full-cluster SIGKILL recovery, and a loadgen pass through

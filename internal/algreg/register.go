@@ -154,11 +154,11 @@ func init() {
 			if err != nil {
 				return dist.Algo[int]{}, 0, err
 			}
-			algo, err := core.LegalColorProcess(g.N(), delta, pl, core.StartIDs)
+			algo, err := core.LegalColorAlgo(g.N(), delta, pl, core.StartIDs)
 			if err != nil {
 				return dist.Algo[int]{}, 0, err
 			}
-			return dist.Interpret(algo), pl.TotalPalette(), nil
+			return algo, pl.TotalPalette(), nil
 		},
 		RunVertex: runLegal(core.StartIDs),
 	})

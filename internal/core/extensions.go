@@ -20,6 +20,21 @@ import (
 // legalColorVertexMasked is legalColorVertex restricted to an initial
 // subgraph mask (nil = whole graph).
 func legalColorVertexMasked(v dist.Process, pl *Plan, s *schedule, mask []bool, start int) int {
+	lv := legalLevels(v, pl, s, mask, start)
+	return lv.offset + linialLeaf(v, pl, s, lv.same, start)
+}
+
+// vertexLevels is one vertex's state after the Defective-Color levels: its
+// palette offset Σ (ψ_i−1)·ϑ⁽ⁱ⁺¹⁾ and, per port, whether the neighbor
+// shares its leaf subgraph.
+type vertexLevels struct {
+	offset int
+	same   []bool
+}
+
+// legalLevels runs the pl.Depth() Defective-Color levels of
+// legalColorVertexMasked.
+func legalLevels(v dist.Process, pl *Plan, s *schedule, mask []bool, start int) vertexLevels {
 	deg := v.Deg()
 	same := make([]bool, deg)
 	for i := range same {
@@ -36,8 +51,7 @@ func legalColorVertexMasked(v dist.Process, pl *Plan, s *schedule, mask []bool, 
 			}
 		}
 	}
-	c := linialLeaf(v, pl, s, same, start)
-	return offset + c
+	return vertexLevels{offset: offset, same: same}
 }
 
 // RandomizedColoring implements Theorem 6.1: every vertex picks a uniformly

@@ -40,13 +40,11 @@ func LegalColoring(g *graph.Graph, pl *Plan, mode Mode, opts ...dist.Option) (*d
 	if d := g.MaxDegree(); d > pl.Delta {
 		return nil, fmt.Errorf("core: graph degree %d exceeds plan Δ=%d", d, pl.Delta)
 	}
-	sched, err := newSchedule(g.N(), g.MaxDegree(), pl, mode)
+	algo, err := LegalColorAlgo(g.N(), g.MaxDegree(), pl, mode)
 	if err != nil {
 		return nil, err
 	}
-	return dist.Run(g, func(v dist.Process) int {
-		return legalColorVertex(v, pl, sched)
-	}, opts...)
+	return dist.RunAlgo(g, algo, opts...)
 }
 
 // LegalColorProcess returns the per-process body of Procedure Legal-Color
@@ -55,19 +53,25 @@ func LegalColoring(g *graph.Graph, pl *Plan, mode Mode, opts ...dist.Option) (*d
 // line-graph simulation (package lgsim), where identifiers are edge pairs
 // from a space of size (n+1)².
 func LegalColorProcess(nBound, delta int, pl *Plan, mode Mode) (func(v dist.Process) int, error) {
+	s, err := processSchedule(nBound, delta, pl, mode)
+	if err != nil {
+		return nil, err
+	}
+	return func(v dist.Process) int {
+		return legalColorVertex(v, pl, s)
+	}, nil
+}
+
+// processSchedule validates LegalColorProcess's arguments and builds their
+// schedule.
+func processSchedule(nBound, delta int, pl *Plan, mode Mode) (*schedule, error) {
 	if pl.Edge {
 		return nil, fmt.Errorf("core: edge-mode plan passed to vertex LegalColorProcess")
 	}
 	if delta > pl.Delta {
 		return nil, fmt.Errorf("core: degree bound %d exceeds plan Δ=%d", delta, pl.Delta)
 	}
-	sched, err := newSchedule(nBound, delta, pl, mode)
-	if err != nil {
-		return nil, err
-	}
-	return func(v dist.Process) int {
-		return legalColorVertex(v, pl, sched)
-	}, nil
+	return newSchedule(nBound, delta, pl, mode)
 }
 
 // LegalRounds returns the exact number of communication rounds every process

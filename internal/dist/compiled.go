@@ -13,9 +13,9 @@ import (
 // channels. An algorithm opts in by bundling a CompiledAlgo next to its
 // per-vertex function (Algo); RunAlgo dispatches to the compiled form when
 // the Compiled engine is selected and the bundle carries one, and to the
-// ordinary scheduler otherwise. Runner.Run degrades a Compiled request for a
-// plain per-vertex function to Lockstep, so the engine is always safe to ask
-// for.
+// ordinary scheduler otherwise. Runner.Run interprets a plain per-vertex
+// function under the Compiled engine (CompileProcess), so the engine is
+// always safe to ask for.
 //
 // The contract a CompiledAlgo must honor is strict byte-equality: for every
 // graph and seed its Outputs and Stats must equal those of the per-vertex
@@ -178,11 +178,12 @@ func runCompiled[T any](g *graph.Graph, ca CompiledAlgo[T], cfg config) (*Result
 // delivery, accounting, and abort semantics.
 //
 // It is the compiled form of choice for blocking-style pipelines (the
-// vertex Legal-Color, or the defective levels of the §5 edge variant ahead
-// of its flat leaf) where hand-flattening the control flow would duplicate
-// the algorithm; hand-written flat passes (packages baseline, dynamic,
-// panconesi, fewcolors) pay off where the round structure is simple enough
-// to close over and the code runs on every service miss.
+// Defective-Color levels of the vertex and §5 edge Legal-Color, between
+// their flat passes; see InterpretOn) where hand-flattening the control
+// flow would duplicate the algorithm; hand-written flat passes (packages
+// baseline, core, dynamic, panconesi, fewcolors) pay off where the round
+// structure is simple enough to close over and the code runs on every
+// service miss.
 func CompileProcess[T any](f func(Process) T) CompiledAlgo[T] {
 	return procInterp[T]{f: f}
 }
@@ -311,10 +312,24 @@ func (p *cvert[T]) Broadcast(msg []byte) [][]byte {
 	return p.Round(out)
 }
 
-// RunCompiled drives the coroutine generation round by round: sequential
-// release in vertex order (Lockstep's order), then one scatter delivery over
-// the CSR arrays with the scheduler's exact accounting.
+// RunCompiled interprets pi.f on a fresh Tally; see InterpretOn.
 func (pi procInterp[T]) RunCompiled(g *graph.Graph, env CompiledEnv, outputs []T) (Stats, error) {
+	t := env.NewTally()
+	err := InterpretOn(g, env, t, pi.f, outputs)
+	return t.Stats, err
+}
+
+// InterpretOn runs f at every vertex of g as CompileProcess's form does, but
+// accounts into t — which may already hold the rounds of earlier phases,
+// its round cap included — instead of a fresh Tally. Flat compiled forms
+// use it to interpret one phase between flat passes on the same Tally; the
+// phase's rounds then follow the earlier ones exactly as they do inside one
+// per-vertex body.
+//
+// It drives the coroutine generation round by round: sequential release in
+// vertex order (Lockstep's order), then one scatter delivery over the CSR
+// arrays with the scheduler's exact accounting.
+func InterpretOn[T any](g *graph.Graph, env CompiledEnv, t *Tally, f func(Process) T, outputs []T) error {
 	n := g.N()
 	cr := &crun[T]{g: g, seed: env.Seed, delta: g.MaxDegree(), status: make([]uint8, n), verts: make([]*cvert[T], n)}
 	for v := 0; v < n; v++ {
@@ -329,11 +344,10 @@ func (pi procInterp[T]) RunCompiled(g *graph.Graph, env CompiledEnv, outputs []T
 					p.panicked, p.pan = true, r
 				}
 			}()
-			p.val = pi.f(p)
+			p.val = f(p)
 		})
 		cr.verts[v] = p
 	}
-	t := env.NewTally()
 	abort := func() {
 		// Unwind every coroutine: finished ones are no-ops, parked ones run
 		// their user defers, never-started ones never run.
@@ -357,7 +371,7 @@ func (pi procInterp[T]) RunCompiled(g *graph.Graph, env CompiledEnv, outputs []T
 			if p.panicked {
 				err := fmt.Errorf("dist: vertex id %d panicked: %v", p.id, p.pan)
 				abort()
-				return t.Stats, err
+				return err
 			}
 			cr.status[p.idx] = statusDone
 			outputs[p.idx] = p.val
@@ -369,11 +383,11 @@ func (pi procInterp[T]) RunCompiled(g *graph.Graph, env CompiledEnv, outputs []T
 			}
 		}
 		if len(arrived) == 0 {
-			return t.Stats, nil
+			return nil
 		}
 		if err := t.StartRound(len(arrived)); err != nil {
 			abort()
-			return t.Stats, err
+			return err
 		}
 		for _, sr := range written {
 			cr.verts[sr.idx].inbox[sr.port] = nil
@@ -406,5 +420,5 @@ func (pi procInterp[T]) RunCompiled(g *graph.Graph, env CompiledEnv, outputs []T
 		}
 		active = arrived
 	}
-	return t.Stats, nil
+	return nil
 }

@@ -9,21 +9,27 @@ import (
 	"repro/internal/wire"
 )
 
-// TestCompiledFallsBackToLockstep: a plain per-vertex function (no compiled
-// form) under the Compiled engine runs as Lockstep — same outputs, same
-// stats, no error.
-func TestCompiledFallsBackToLockstep(t *testing.T) {
+// TestCompiledInterpretsPlainFunc: a plain per-vertex function (no compiled
+// form) under the Compiled engine is interpreted, never scheduled — the
+// Runner spawns no goroutine generation and builds none of its pooled
+// state — and matches Lockstep: same outputs, same stats, no error.
+func TestCompiledInterpretsPlainFunc(t *testing.T) {
 	g := graph.GNM(60, 200, 4)
 	want, err := Run(g, chatty, WithSeed(1), WithEngine(Lockstep))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(g, chatty, WithSeed(1), WithEngine(Compiled))
+	r := NewRunner[[]int](g)
+	defer r.Close()
+	got, err := r.Run(chatty, WithSeed(1), WithEngine(Compiled))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r.procs != nil || r.life != nil || r.spawned {
+		t.Fatal("a plain function under Compiled reached the scheduler")
+	}
 	if !reflect.DeepEqual(got.Outputs, want.Outputs) || got.Stats != want.Stats {
-		t.Fatalf("compiled fallback diverged from lockstep: %v vs %v", got.Stats, want.Stats)
+		t.Fatalf("compiled run diverged from lockstep: %v vs %v", got.Stats, want.Stats)
 	}
 	// Same through RunAlgo with a nil Compiled field.
 	got2, err := RunAlgo(g, Algo[[]int]{Vertex: chatty}, WithSeed(1), WithEngine(Compiled))
@@ -31,7 +37,7 @@ func TestCompiledFallsBackToLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got2.Outputs, want.Outputs) || got2.Stats != want.Stats {
-		t.Fatalf("RunAlgo fallback diverged from lockstep")
+		t.Fatalf("RunAlgo with no compiled form diverged from lockstep")
 	}
 }
 

@@ -205,9 +205,9 @@ const (
 	Sharded
 	// Compiled executes algorithms that carry a CompiledAlgo form (see Algo
 	// and RunAlgo) as tight whole-graph passes over the flat CSR arrays — no
-	// goroutines, no channels — and degrades to Lockstep for plain per-vertex
-	// functions. Outputs and Stats are byte-identical to the other engines;
-	// only wall-clock changes.
+	// goroutines, no channels — and interprets plain per-vertex functions
+	// on coroutines (CompileProcess). Outputs and Stats are byte-identical
+	// to the other engines; only wall-clock changes.
 	Compiled
 )
 

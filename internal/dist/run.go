@@ -149,9 +149,9 @@ func (r *Runner[T]) Run(algo func(Process) T, opts ...Option) (*Result[T], error
 	}
 	if cfg.engine == Compiled {
 		// A plain per-vertex function carries no compiled form; the Compiled
-		// engine degrades to Lockstep (RunAlgo dispatches opted-in algorithms
-		// before reaching here).
-		cfg.engine = Lockstep
+		// engine interprets it (RunAlgo dispatches opted-in algorithms before
+		// reaching here).
+		return runCompiled(r.g, CompileProcess(algo), cfg)
 	}
 	if cfg.engine != Goroutines && cfg.engine != Lockstep && cfg.engine != Sharded {
 		return nil, fmt.Errorf("dist: unknown engine %v", cfg.engine)

@@ -43,7 +43,7 @@ func LegalEdgeProcess(delta int, pl *core.Plan, mode MsgMode) (func(dist.Process
 }
 
 // LegalEdgeAlgo bundles LegalEdgeProcess with its compiled form: the
-// pl.Depth() defective levels interpreted (dist.CompileProcess), then the
+// pl.Depth() defective levels interpreted (dist.InterpretOn), then the
 // Panconesi–Rizzi leaf as flat passes (panconesi.FlatLeaf) continuing the
 // same Tally. A depth-0 plan interprets nothing. Callers that execute on a
 // reusable dist.Runner or dist.Pool (the coloring service) use it to get
@@ -71,13 +71,11 @@ func (a legalEdgeFlat) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out [][
 	if a.pl.Depth() > 0 {
 		classOf, offsets = make([]int, slots), make([]int, slots)
 		levels := make([]edgeLevels, g.N())
-		stats, err := dist.CompileProcess(func(v dist.Process) edgeLevels {
+		if err := dist.InterpretOn(g, env, t, func(v dist.Process) edgeLevels {
 			return legalEdgeLevels(v, a.pl, a.mode, nil)
-		}).RunCompiled(g, env, levels)
-		if err != nil {
-			return stats, err
+		}, levels); err != nil {
+			return t.Stats, err
 		}
-		t.Stats = stats
 		for v, lv := range levels {
 			base := int(g.Offsets()[v])
 			for p, c := range lv.classIdx {

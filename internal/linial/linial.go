@@ -87,16 +87,38 @@ func (s Step) Apply(own int, nbrs []int) int {
 	if own < 1 || own > s.K {
 		panic(fmt.Sprintf("linial: color %d outside palette 1..%d", own, s.K))
 	}
-	mine := coeffs(own-1, s.Q, s.T)
+	color, bestC := s.ApplyScratch(new(Scratch), own, nbrs)
+	if bestC > s.Budget {
+		// The pigeonhole guarantee (≤ ⌊T·Λ/Q⌋ ≤ Budget) was violated, which
+		// means the caller fed more neighbors than the degree bound assumed.
+		panic(fmt.Sprintf("linial: %d conflicts at best point exceed budget %d (q=%d t=%d)",
+			bestC, s.Budget, s.Q, s.T))
+	}
+	return color
+}
+
+// Scratch holds the buffers Apply needs, so callers stepping many vertices
+// (the flat compiled forms) reuse them instead of allocating per call.
+type Scratch struct {
+	conflicts, mine, other []int
+}
+
+// ApplyScratch is Apply without its checks: it returns the new color and
+// the number of differently-colored neighbors agreeing with it at the
+// chosen point, which Apply requires to be at most s.Budget. own must lie
+// in 1..s.K.
+func (s Step) ApplyScratch(sc *Scratch, own int, nbrs []int) (int, int) {
+	sc.conflicts = resize(sc.conflicts, s.Q)
+	sc.mine = coeffsInto(resize(sc.mine, s.T+1), own-1, s.Q, s.T)
+	sc.other = resize(sc.other, s.T+1)
 	// conflicts[a] = number of differently-colored neighbors whose
 	// polynomial agrees with ours at point a.
-	conflicts := make([]int, s.Q)
-	scratch := make([]int, s.T+1)
+	mine, conflicts := sc.mine, sc.conflicts
 	for _, nc := range nbrs {
 		if nc == own {
 			continue
 		}
-		other := coeffsInto(scratch, nc-1, s.Q, s.T)
+		other := coeffsInto(sc.other, nc-1, s.Q, s.T)
 		for a := 0; a < s.Q; a++ {
 			if evalPoly(mine, a, s.Q) == evalPoly(other, a, s.Q) {
 				conflicts[a]++
@@ -109,13 +131,18 @@ func (s Step) Apply(own int, nbrs []int) int {
 			bestA, bestC = a, conflicts[a]
 		}
 	}
-	if bestC > s.Budget {
-		// The pigeonhole guarantee (≤ ⌊T·Λ/Q⌋ ≤ Budget) was violated, which
-		// means the caller fed more neighbors than the degree bound assumed.
-		panic(fmt.Sprintf("linial: %d conflicts at best point exceed budget %d (q=%d t=%d)",
-			bestC, s.Budget, s.Q, s.T))
+	return bestA*s.Q + evalPoly(mine, bestA, s.Q) + 1, bestC
+}
+
+// resize returns buf with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
 	}
-	return bestA*s.Q + evalPoly(mine, bestA, s.Q) + 1
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Exchange abstracts one broadcast round: send own color, receive the colors

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/forest"
 	"repro/internal/graph"
@@ -185,33 +186,54 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 	}
 }
 
-// TestCompiledRunAllocs bounds the allocations of one compiled
-// Panconesi–Rizzi run on regular(128,8) — the service's edge-pr miss shape —
-// in both compiled forms. The interpreted row runs the per-vertex leaf
-// (slice-indexed, one reused outbox per vertex) on coroutines, as ablation
-// and plain Interpret callers still do; the flat row is the served bundle.
-// Each ceiling sits about 1.5× above the measured count, so a map or a
-// per-round outbox creeping back into either hot path fails here.
+// TestCompiledRunAllocs bounds the allocations of one compiled run of the
+// service's miss shapes. Two rows run Panconesi–Rizzi on regular(128,8) —
+// the edge-pr miss shape — in both compiled forms: the interpreted row runs
+// the per-vertex leaf (slice-indexed, one reused outbox per vertex) on
+// coroutines, as ablation and plain Interpret callers still do; the flat
+// row is the served bundle. The third is the served vertex-be bundle
+// (flat Legal-Color) on powercycle(120,4). Each ceiling sits about 1.5×
+// above the measured count, so a map or a per-round outbox creeping back
+// into a hot path fails here.
 func TestCompiledRunAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation count in -short mode")
 	}
 	g := graph.RandomRegular(128, 8, 3)
 	delta := g.MaxDegree()
+	edge := func(algo dist.Algo[[]int]) func() error {
+		return func() error {
+			_, err := dist.RunAlgo(g, algo, dist.WithEngine(dist.Compiled))
+			return err
+		}
+	}
+	pc := graph.PowerOfCycle(120, 4)
+	pl, err := core.AutoPlan(pc.MaxDegree(), 2, 2, 9, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legal, err := core.LegalColorAlgo(pc.N(), pc.MaxDegree(), pl, core.StartIDs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, row := range []struct {
 		name    string
-		algo    dist.Algo[[]int]
+		run     func() error
 		ceiling float64
 	}{
-		{"interpreted", dist.Interpret(func(v dist.Process) []int { return EdgeColorStep(v, nil, delta) }), 10000}, // ~1.5× the 6700 measured
-		{"flat", Algo(delta), 45}, // ~1.5× the 30 measured
+		{"interpreted edge-pr", edge(dist.Interpret(func(v dist.Process) []int { return EdgeColorStep(v, nil, delta) })), 10000}, // ~1.5× the 6700 measured
+		{"flat edge-pr", edge(Algo(delta)), 45}, // ~1.5× the 30 measured
+		{"flat vertex-be", func() error {
+			_, err := dist.RunAlgo(pc, legal, dist.WithEngine(dist.Compiled))
+			return err
+		}, 20}, // ~1.5× the 12 measured
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := dist.RunAlgo(g, row.algo, dist.WithEngine(dist.Compiled)); err != nil {
+			if err := row.run(); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s edge-pr run on regular(128,8): %.0f allocs", row.name, allocs)
+		t.Logf("%s run: %.0f allocs", row.name, allocs)
 		if allocs > row.ceiling {
 			t.Fatalf("%s: %.0f allocs per run, ceiling %.0f", row.name, allocs, row.ceiling)
 		}

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/algreg"
+	"repro/internal/exp"
 )
 
 // TestShardedCacheLayoutIndependence pins the determinism property of the
@@ -177,17 +180,23 @@ func TestShardsFor(t *testing.T) {
 // TestCacheValueBodies pins the rendered-body memo: every name renders the
 // json.Encoder bytes, the first name lives inline and later aliases in the
 // map, repeats share one slice, and past maxBodiesPerValue names render
-// without being retained.
+// without being retained. The entry keeps no record beside its bodies.
 func TestCacheValueBodies(t *testing.T) {
 	rec := &record{kind: "edge", alg: "be", n: 3, m: 2, delta: 2, palette: 3, colors: []int{1, 2}}
-	enc := rec.encode()
-	v := newCacheValue("k", enc)
-	if !bytes.Equal(v.rec, enc) || cap(v.rec) != len(v.rec) {
-		t.Fatalf("rec stored with len %d cap %d, want an exact copy of %d bytes", len(v.rec), cap(v.rec), len(enc))
-	}
 	names := make([]string, maxBodiesPerValue+2)
 	for i := range names {
 		names[i] = fmt.Sprintf("alias-%d", i)
+	}
+	alg, err := algreg.Resolve("edge", "be", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := newRecordValue("k", alg, rec, names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.rec != nil {
+		t.Fatalf("entry holds a %d-byte record beside its body", len(v.rec))
 	}
 	for i, name := range names {
 		var want bytes.Buffer
@@ -209,4 +218,82 @@ func TestCacheValueBodies(t *testing.T) {
 	if v.name != names[0] || len(v.bodies) != maxBodiesPerValue-1 {
 		t.Fatalf("inline name %q and %d mapped bodies, want %q and %d", v.name, len(v.bodies), names[0], maxBodiesPerValue-1)
 	}
+}
+
+// TestSlimEntryMatchesFreshRecord: a cached coloring entry keeps only its
+// record's head and rendered body, yet Handle, HandleDetail, CachedRecord
+// and an aliased name's render read back exactly what a freshly computed
+// record gives, for every servable algorithm.
+func TestSlimEntryMatchesFreshRecord(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	path, grid := exp.GraphSpec{Family: "path", N: 6}, exp.GraphSpec{Family: "grid", N: 6, M: 1}
+	for _, req := range []Request{
+		{Kind: "edge", Alg: "be", Graph: exp.GraphSpec{Family: "gnm", N: 40, M: 120, Seed: 3}, Seed: 2},
+		{Kind: "edge", Alg: "pr", Graph: exp.GraphSpec{Family: "regular", N: 24, Deg: 4, Seed: 1}},
+		{Kind: "edge", Alg: "greedy", Graph: path},
+		{Kind: "edge", Quality: "fewcolors", Graph: exp.GraphSpec{Family: "gnm", N: 30, M: 80, Seed: 1}},
+		{Kind: "vertex", Alg: "be", Graph: exp.GraphSpec{Family: "powercycle", N: 40, Deg: 3}},
+		{Kind: "vertex", Alg: "greedy", Graph: path},
+		{Kind: "edge", Alg: "pr", Graph: exp.GraphSpec{Family: "path", N: 1}},
+	} {
+		name := req.Kind + "/" + req.Alg + req.Quality + "/" + req.Graph.String()
+		c, err := s.resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := c.runner(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, outcome, err := s.Handle(req); err != nil || outcome != Miss {
+			t.Fatalf("%s: outcome %q err %v, want a miss", name, outcome, err)
+		}
+		resp, outcome, err := s.Handle(req)
+		if err != nil || outcome != Hit {
+			t.Fatalf("%s: outcome %q err %v, want a hit", name, outcome, err)
+		}
+		detail, _, err := s.HandleDetail(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2]any{
+			{resp, fresh.response(c.key, req.Graph.String())},
+			{detail, fresh.detail(c.key, req.Graph.String())},
+		} {
+			got, _ := json.Marshal(pair[0])
+			want, _ := json.Marshal(pair[1])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: slim entry reads\n%s\nfresh record gives\n%s", name, got, want)
+			}
+		}
+		raw, ok := s.CachedRecord(c.key)
+		if !ok || !bytes.Equal(raw, fresh.encode()) {
+			t.Fatalf("%s: CachedRecord differs from the fresh record's encoding", name)
+		}
+		if v, _ := s.cache.get(c.key); v.rec != nil {
+			t.Fatalf("%s: entry holds a record beside its body", name)
+		}
+		if req.Graph == path {
+			alias := req
+			alias.Graph = grid
+			got, _, outcome, err := s.HandleRaw(mustMarshal(t, alias))
+			if err != nil || outcome != Hit {
+				t.Fatalf("%s: alias outcome %q err %v, want a hit", name, outcome, err)
+			}
+			want, _ := renderBody(fresh.response(c.key, grid.String()))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: aliased render\n%s\nwant\n%s", name, got, want)
+			}
+		}
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -123,13 +123,16 @@ type canonReq struct {
 	runner func(c *canonReq) (*record, error)
 }
 
-// record is the cache-layer value: the response payload in wire encoding.
-// The JSON response is always rendered from a decoded record, so cache hits
-// and fresh computations produce identical bodies by construction. The
-// graph's *name* is deliberately absent: the key is the graph fingerprint,
-// and distinct specs can build fingerprint-identical graphs (Path(6) and
-// Grid(6,1), say) — each response must echo its own request's spec, while
-// colors, stats, and shape are key-determined and shared.
+// record is one computed coloring: the response payload without the
+// request's graph name. A result-cache entry keeps it as a head (colors
+// nil) plus the body rendered from it, which holds the colors; encode is
+// its wire form for peer fill. Every body is rendered from a record, so
+// cache hits and fresh computations produce identical bodies by
+// construction. The graph's *name* is deliberately absent: the key is the
+// graph fingerprint, and distinct specs can build fingerprint-identical
+// graphs (Path(6) and Grid(6,1), say) — each response must echo its own
+// request's spec, while colors, stats, and shape are key-determined and
+// shared.
 type record struct {
 	kind, alg, quality   string
 	n, m, delta, palette int

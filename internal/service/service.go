@@ -280,7 +280,7 @@ func (s *Service) Handle(req Request) (*Response, Outcome, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	rec, err := decodeRecord(v.rec)
+	rec, err := v.record()
 	if err != nil {
 		s.counters.stripe(c.hash).errors.Add(1)
 		return nil, "", err
@@ -298,7 +298,7 @@ func (s *Service) HandleDetail(req Request) (*DetailResponse, Outcome, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	rec, err := decodeRecord(v.rec)
+	rec, err := v.record()
 	if err != nil {
 		s.counters.stripe(c.hash).errors.Add(1)
 		return nil, "", err
@@ -427,8 +427,9 @@ func (s *Service) compute(c *canonReq) (*cacheValue, error) {
 		if raw := s.cfg.RemoteFill(c.req.Graph.String(), c.key); raw != nil {
 			if rec, err := decodeRecord(raw); err == nil {
 				s.counters.stripe(c.hash).filled.Add(1)
-				s.observePalette(c, rec)
-				v = s.cache.putHash(c.key, c.hash, newCacheValue(c.key, raw))
+				if v, err = s.fill(c, rec); err != nil {
+					return nil, err
+				}
 				ok = true
 			}
 		}
@@ -439,13 +440,28 @@ func (s *Service) compute(c *canonReq) (*cacheValue, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.observePalette(c, rec)
-		v = s.cache.putHash(c.key, c.hash, newCacheValue(c.key, rec.encode()))
+		if v, err = s.fill(c, rec); err != nil {
+			return nil, err
+		}
 	}
+	// A no-op unless this request's graph name is an alias of the name the
+	// entry was built for.
 	if _, err := v.bodyFor(c.req.Graph.String()); err != nil {
 		return nil, err
 	}
 	return v, nil
+}
+
+// fill caches rec under c's key with its body rendered for c's graph name
+// — straight from the record in hand — and returns the key's canonical
+// entry.
+func (s *Service) fill(c *canonReq, rec *record) (*cacheValue, error) {
+	s.observePalette(c, rec)
+	v, err := newRecordValue(c.key, c.alg, rec, c.req.Graph.String())
+	if err != nil {
+		return nil, err
+	}
+	return s.cache.putHash(c.key, c.hash, v), nil
 }
 
 // observePalette stores a record's measured palette figures into the
@@ -457,15 +473,20 @@ func (s *Service) observePalette(c *canonReq, rec *record) {
 }
 
 // CachedRecord returns the encoded cache record under key, if the result
-// cache holds it. It never computes — this is the peer-fill read side
-// (GET /internal/record): a peer asking "do you already have this?" must
-// not be able to make this node do work.
+// cache holds it, re-encoded from the entry's head and body. It never runs
+// an algorithm — this is the peer-fill read side (GET /internal/record): a
+// peer asking "do you already have this?" must not be able to make this
+// node compute a coloring.
 func (s *Service) CachedRecord(key string) ([]byte, bool) {
 	v, ok := s.cache.get(key)
-	if !ok {
+	if !ok || v.rec != nil {
+		return nil, false // absent, or a session read's entry
+	}
+	rec, err := v.record()
+	if err != nil {
 		return nil, false
 	}
-	return v.rec, true
+	return rec.encode(), true
 }
 
 // Stats snapshots the service counters, caches, and per-graph runner pools.
